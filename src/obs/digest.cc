@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/logging.h"
+#include "obs/json.h"
 
 namespace elsa::obs {
 
@@ -242,6 +243,20 @@ QuantileDigest::reset()
     count_ = 0;
     min_ = 0.0;
     max_ = 0.0;
+}
+
+void
+writeDigestFields(JsonWriter& w, const QuantileDigest& d)
+{
+    w.kv("count", d.count());
+    if (d.count() > 0) {
+        w.kv("min", d.min());
+        w.kv("max", d.max());
+        w.kv("p50", d.quantile(0.50));
+        w.kv("p90", d.quantile(0.90));
+        w.kv("p95", d.quantile(0.95));
+        w.kv("p99", d.quantile(0.99));
+    }
 }
 
 } // namespace elsa::obs

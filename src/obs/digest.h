@@ -40,6 +40,8 @@
 
 namespace elsa::obs {
 
+class JsonWriter;
+
 /** Bounded-memory quantile sketch; see file comment. */
 class QuantileDigest
 {
@@ -113,6 +115,14 @@ class QuantileDigest
     double min_ = 0.0;
     double max_ = 0.0;
 };
+
+/**
+ * Write a digest's `count` and, once count > 0, its `min`, `max`,
+ * `p50`, `p90`, `p95` and `p99` as fields of the JSON object the
+ * caller has open. The one digest serialization shared by stats.json,
+ * telemetry.json, spans.json and serve.json.
+ */
+void writeDigestFields(JsonWriter& w, const QuantileDigest& d);
 
 } // namespace elsa::obs
 

@@ -83,32 +83,6 @@ Histogram::add(double x)
     ++counts_[bucket];
 }
 
-double
-Histogram::quantile(double q) const
-{
-    std::lock_guard<std::mutex> lk(m_);
-    ELSA_CHECK(q >= 0.0 && q <= 1.0,
-               "quantile " << q << " outside [0, 1]");
-    ELSA_CHECK(count_ > 0, "quantile() of an empty histogram");
-    const double rank = q * static_cast<double>(count_);
-    // Underflow mass sits (by definition) below the first edge; the
-    // closest defensible answer inside the range is that edge.
-    double cum = static_cast<double>(underflow_);
-    if (rank <= cum && underflow_ > 0) {
-        return edges_.front();
-    }
-    for (std::size_t i = 0; i < counts_.size(); ++i) {
-        const double c = static_cast<double>(counts_[i]);
-        if (c > 0.0 && rank <= cum + c) {
-            const double frac = (rank - cum) / c;
-            return edges_[i] + frac * (edges_[i + 1] - edges_[i]);
-        }
-        cum += c;
-    }
-    // Only overflow mass (or rounding at q == 1) lands here.
-    return edges_.back();
-}
-
 std::size_t
 Histogram::bucketCount(std::size_t i) const
 {

@@ -70,16 +70,6 @@ class Histogram
     /** Bucket edges; immutable after construction, so lock-free. */
     const std::vector<double>& edges() const { return edges_; }
 
-    /**
-     * Estimated q-quantile, q in [0, 1]; fatal when empty. The
-     * rank is interpolated linearly *within* its bucket (values are
-     * assumed uniform over [e_i, e_{i+1})). Underflow mass is
-     * pinned to the first edge and overflow mass to the last edge,
-     * so quantiles falling there are clamped to the histogram's
-     * range rather than extrapolated.
-     */
-    double quantile(double q) const;
-
     /** Sum of all observations (for mean reconstruction). */
     double sum() const
     {

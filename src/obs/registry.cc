@@ -243,15 +243,7 @@ StatsRegistry::dumpJson(std::ostream& os, bool pretty) const
             const QuantileDigest& d = *entry.digest;
             w.beginObject();
             w.kv("kind", "digest");
-            w.kv("count", d.count());
-            if (d.count() > 0) {
-                w.kv("min", d.min());
-                w.kv("max", d.max());
-                w.kv("p50", d.quantile(0.50));
-                w.kv("p90", d.quantile(0.90));
-                w.kv("p95", d.quantile(0.95));
-                w.kv("p99", d.quantile(0.99));
-            }
+            writeDigestFields(w, d);
             w.endObject();
             break;
         }

@@ -2,30 +2,10 @@
 
 #include <string>
 
+#include "obs/digest.h"
 #include "obs/json.h"
 
 namespace elsa {
-
-namespace {
-
-/** Emit {count, min, max, p50, p90, p95, p99} for one digest. */
-void
-writeDigestObject(obs::JsonWriter& w, const obs::QuantileDigest& d)
-{
-    w.beginObject();
-    w.kv("count", d.count());
-    if (d.count() > 0) {
-        w.kv("min", d.min());
-        w.kv("max", d.max());
-        w.kv("p50", d.quantile(0.50));
-        w.kv("p90", d.quantile(0.90));
-        w.kv("p95", d.quantile(0.95));
-        w.kv("p99", d.quantile(0.99));
-    }
-    w.endObject();
-}
-
-} // namespace
 
 void
 publishServeStats(const ServeResult& result,
@@ -155,10 +135,12 @@ writeServeJson(std::ostream& os, const ServeConfig& config,
     w.endArray();
     w.endObject();
 
-    w.key("latency_cycles");
-    writeDigestObject(w, result.latency);
-    w.key("queue_wait_cycles");
-    writeDigestObject(w, result.queue_wait);
+    w.key("latency_cycles").beginObject();
+    obs::writeDigestFields(w, result.latency);
+    w.endObject();
+    w.key("queue_wait_cycles").beginObject();
+    obs::writeDigestFields(w, result.queue_wait);
+    w.endObject();
 
     w.key("slo").beginObject();
     w.kv("deadline_cycles", config.deadline_cycles);

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <array>
+#include <initializer_list>
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "common/bits.h"
 #include "fault/fault.h"
@@ -50,44 +52,604 @@ stallTrackName(AttributedModule module, StallCause cause)
 }
 
 /**
- * Trace timestamps of one query's span flow events (hash start, the
- * critical bank's scan start, division start). Buffered during the
- * query loop so only the exemplar queries chosen at finalize() emit
- * flow arrows into the trace.
+ * One query's pipeline interval (Fig. 9), as the timing loop produced
+ * it. [begin, end()) holds the slowest bank's scan plus the attention
+ * drain, overlapped with the next query's hash and the previous
+ * query's output division. Every recorder is a fold over this record,
+ * so none of them re-derives the interval.
  */
-struct SpanFlowPoint
+struct QueryInterval
 {
-    std::uint64_t hash_ts = 0;
-    std::uint64_t scan_ts = 0;
-    std::uint64_t div_ts = 0;
-    std::uint32_t bank = 0;
+    std::size_t query = 0;
+    std::uint64_t begin = 0;
+    std::uint64_t length = 0;
+    /** The previous query's interval, which this query's hash
+     *  overlapped; 0 for query 0 (hashed during preprocessing). */
+    std::uint64_t prev_length = 0;
+    /** True when a next query exists: the hash module computes its
+     *  hash during this interval. */
+    bool hashes_next = false;
+    /** Each bank's scan exactly as simulateBankQuery returned it; a
+     *  bank without keys keeps an all-zero trace. */
+    std::vector<BankQueryTrace> banks;
+    /** Bank holding the slowest scan open (ties -> lowest index). */
+    std::size_t critical_bank = 0;
+    /** Candidates selected, after the fallback. */
+    std::size_t candidates = 0;
+    /** Candidate-module stall cycles across banks. */
+    std::size_t stalls = 0;
+    /** The key the no-candidate fallback chose, when it fired. */
+    std::optional<std::uint32_t> fallback_key;
+
+    std::uint64_t end() const { return begin + length; }
+
+    /** This query's output division starts when its interval ends,
+     *  overlapping the next interval (or the tail after the last). */
+    std::uint64_t divisionBegin() const { return end(); }
 };
 
-/** Per-bank inputs to the stall attribution of one query. */
-struct BankAttribution
+/** The stage of one attributed module in a per-query span record. */
+template <typename Record>
+auto&
+spanStage(Record& record, AttributedModule module)
 {
-    bool active = false;
-    std::uint64_t cycles = 0;
-    std::uint64_t grants = 0;
-    std::uint64_t scan = 0;
-    std::uint64_t conflict = 0;
-    std::uint64_t drained = 0;
+    return record.stages[static_cast<std::size_t>(module)];
+}
+
+/** A listed (cause, lane cycles) part of one module's tile. */
+struct TilePart
+{
+    StallCause cause;
+    std::uint64_t cycles;
 };
 
 /**
- * Apply a plan's silent faults to the preprocessed state. Detected
- * words are repaired by the modeled re-fetch (their cost is charged
- * as fault_retry stall cycles) and corrected words are repaired in
- * line, so only silent faults perturb values. LUT faults corrupt
- * per-run copies of the units; the model's pristine units are never
- * touched (Accelerator::run is const and shared across threads).
+ * Folds one run into its recorders: the energy ActivityCounters, the
+ * StallBreakdown, the telemetry TimeSeries, the QuerySpanSet, the
+ * Chrome trace and the per-query interval list. preprocess() folds
+ * the preprocessing phase, query() one QueryInterval (one method per
+ * recorder), and finish() the division tail and the fault-retry
+ * bubble. All of it is post-hoc arithmetic over already-simulated
+ * quantities, so no recorder can perturb the simulated timing; an
+ * optional recorder that is off costs one branch per query.
  */
-void
-applySilentFaults(const FaultPlan& plan, FunctionalContext& ctx,
-                  const FunctionalModel& functional)
+class RunRecorder
 {
+  public:
+    /** @param trace Writer to emit into; null unless tracing. */
+    RunRecorder(const SimConfig& config, std::size_t n,
+                RunResult& result, obs::TraceWriter* trace,
+                std::uint32_t pid)
+        : config_(config),
+          n_(n),
+          keys_per_bank_(ceilDiv(n, config.pa)),
+          hash_cycles_(hashCyclesPerVector(config)),
+          division_cycles_(divisionCyclesPerQuery(config)),
+          result_(result),
+          trace_(trace),
+          pid_(pid)
+    {
+        if (config.telemetry.enabled) {
+            result.telemetry = std::make_shared<obs::TimeSeries>(
+                config.telemetry.bin_width_cycles);
+            ts_ = result.telemetry.get();
+            for (const AttributedModule module : allAttributedModules()) {
+                for (const StallCause cause : allStallCauses()) {
+                    // Like the stats counters, fault_retry channels
+                    // exist only when fault injection ran.
+                    if (cause == StallCause::kFaultRetry
+                        && !result.fault.enabled) {
+                        continue;
+                    }
+                    stall_ch_[static_cast<std::size_t>(module)]
+                             [static_cast<std::size_t>(cause)] =
+                        ts_->channel(stallTrackName(module, cause));
+                }
+            }
+            for (const HwModule module : allHwModules()) {
+                std::string name = "activity.";
+                name += hwModuleMetricName(module);
+                activity_ch_[static_cast<std::size_t>(module)] =
+                    ts_->channel(name);
+            }
+            queue_ch_ = ts_->channel("queue.occupancy_cycles");
+            queries_ch_ = ts_->channel("queries.completed");
+        }
+        if (config.query_spans.enabled) {
+            std::vector<std::string> stage_names;
+            std::vector<std::string> cause_names;
+            for (const AttributedModule module : allAttributedModules()) {
+                stage_names.emplace_back(
+                    attributedModuleMetricName(module));
+            }
+            for (const StallCause cause : allStallCauses()) {
+                cause_names.emplace_back(stallCauseMetricName(cause));
+            }
+            result.spans = std::make_shared<obs::QuerySpanSet>(
+                std::move(stage_names), std::move(cause_names));
+            spans_ = result.spans.get();
+        }
+    }
+
+    /** Fold the preprocessing phase [0, preprocess_cycles). */
+    void
+    preprocess()
+    {
+        const std::uint64_t pre = result_.preprocess_cycles;
+        const std::uint64_t pa = config_.pa;
+        // Hash module: n key hashes + the first query hash.
+        const std::uint64_t hash_busy = hash_cycles_ * (n_ + 1);
+        // Norm module and the attention multipliers it borrows: one
+        // key dot product per attention module per cycle.
+        const std::uint64_t norm_cycles = ceilDiv(n_, config_.pa);
+
+        addActivity(HwModule::kHashComputation,
+                    static_cast<double>(hash_busy), 0, pre);
+        addActivity(HwModule::kNormComputation, static_cast<double>(n_),
+                    0, pre);
+        addActivity(HwModule::kAttentionCompute,
+                    static_cast<double>(norm_cycles), 0, pre);
+        // SRAM traffic: key/value reads for hashing and norms, key
+        // hash/norm writes.
+        addActivity(HwModule::kKeyValueMemory,
+                    static_cast<double>(norm_cycles), 0, pre);
+        const double key_writes =
+            static_cast<double>(n_) / (config_.pa * config_.pc);
+        addActivity(HwModule::kKeyHashMemory, key_writes, 0, pre);
+        addActivity(HwModule::kKeyNormMemory, key_writes, 0, pre);
+
+        if (trace_ != nullptr) {
+            trace_->completeEvent("preprocess: hash keys+q0",
+                                  "preprocess", pid_, kTidHash, 0, pre);
+            trace_->completeEvent("preprocess: key norms", "preprocess",
+                                  pid_, kTidNorm, 0, norm_cycles);
+        }
+
+        if (!config_.attribute_stalls) {
+            return;
+        }
+        // Hash module: after its hashes it sits on the finished first
+        // query hash, waiting for execution to start draining it.
+        tile(AttributedModule::kHash, 1, 0, pre,
+             {{StallCause::kBusy, hash_busy}},
+             StallCause::kBackpressured);
+        // Norm module: occupied until its pipeline drains, then done
+        // for the whole run.
+        tile(AttributedModule::kNorm, 1, 0, pre,
+             {{StallCause::kBusy,
+               norm_cycles + config_.attention_pipeline_latency}},
+             StallCause::kDrained);
+        // The attention multipliers compute one key dot product per
+        // key for the norms; the other execution modules wait for
+        // the first query.
+        tile(AttributedModule::kAttention, pa, 0, pre,
+             {{StallCause::kBusy, n_}}, StallCause::kStarved);
+        tile(AttributedModule::kCandidateSelection, pa * config_.pc, 0,
+             pre, {}, StallCause::kStarved);
+        tile(AttributedModule::kArbitration, pa, 0, pre, {},
+             StallCause::kStarved);
+        tile(AttributedModule::kOutputDivision, 1, 0, pre, {},
+             StallCause::kStarved);
+    }
+
+    /** Fold one query's interval, in query order. */
+    void
+    query(const QueryInterval& q)
+    {
+        foldResult(q);
+        // Attribution first: the trace's counter tracks read it.
+        if (config_.attribute_stalls) {
+            foldStalls(q);
+        }
+        if (spans_ != nullptr) {
+            foldSpan(q);
+        }
+        if (ts_ != nullptr) {
+            foldTelemetry(q);
+        }
+        if (trace_ != nullptr) {
+            foldTrace(q);
+        }
+        foldActivity(q);
+    }
+
+    /**
+     * Fold the tail after the last interval, which ends at `cursor`:
+     * the last query's division, then the fault-retry bubble. Detected
+     * faults freeze the whole pipeline while their words are
+     * re-fetched: one global bubble, conservatively serialized (no
+     * overlap with useful work), zero unless fault injection ran.
+     */
+    void
+    finish(std::uint64_t cursor)
+    {
+        const std::uint64_t bubble = result_.fault.retry_stall_cycles;
+        if (config_.attribute_stalls) {
+            // Everything but the divider has finished when the tail
+            // starts; the bubble then freezes every lane.
+            const std::uint64_t tail_end = cursor + division_cycles_;
+            for (const AttributedModule module : allAttributedModules()) {
+                const std::uint64_t lanes =
+                    attributedModuleLanes(module, config_);
+                tile(module, lanes, cursor, tail_end, {},
+                     module == AttributedModule::kOutputDivision
+                         ? StallCause::kBusy
+                         : StallCause::kDrained);
+                tile(module, lanes, tail_end, tail_end + bubble, {},
+                     StallCause::kFaultRetry);
+            }
+            // The hard conservation invariant of sim/stall.h: the
+            // tiles cover the whole run. Also enforced (in every
+            // build type) by the attribution tests.
+            ELSA_DASSERT(result_.stall_breakdown.conserves(
+                             result_.totalCycles(), config_),
+                         "stall-cause lane cycles do not sum to "
+                             << result_.totalCycles()
+                             << " total cycles");
+        }
+        if (spans_ == nullptr) {
+            return;
+        }
+        // The bubble extends the last query's lifetime; charge it
+        // where the run-level counters charge it too.
+        if (bubble > 0 && n_ > 0) {
+            spans_->addStallToLast(
+                static_cast<std::size_t>(
+                    AttributedModule::kOutputDivision),
+                static_cast<std::size_t>(StallCause::kFaultRetry),
+                bubble);
+        }
+        spans_->finalize(config_.query_spans.exemplar_count,
+                         result_.totalCycles());
+        if (trace_ == nullptr) {
+            return;
+        }
+        // Flow arrows link each exemplar query's stages across the
+        // trace lanes: hash start -> critical-bank scan start ->
+        // division start, read back from the record's telescoping
+        // components. The id is unique per (accelerator, query) so
+        // arrays sharing one writer never cross-link.
+        for (const obs::QuerySpanRecord& r : spans_->records()) {
+            const obs::StageSpan& division =
+                spanStage(r, AttributedModule::kOutputDivision);
+            const std::uint64_t scan_ts =
+                r.entry_cycle + spanStage(r, AttributedModule::kHash).service
+                + spanStage(r, AttributedModule::kCandidateSelection)
+                      .queue_wait;
+            const std::uint64_t div_ts =
+                r.exit_cycle - division.service - division.stallTotal();
+            const std::uint64_t id =
+                (static_cast<std::uint64_t>(pid_) << 32) | r.query;
+            const auto bank = static_cast<std::uint32_t>(r.tag);
+            trace_->flowEvent("query span", "span", pid_, kTidHash,
+                              r.entry_cycle, id, 's');
+            trace_->flowEvent("query span", "span", pid_,
+                              kTidBank0 + bank, scan_ts, id, 't');
+            trace_->flowEvent("query span", "span", pid_, kTidDivision,
+                              div_ts, id, 'f');
+        }
+    }
+
+  private:
+    /** RunResult's per-query fields and the interval list. */
+    void
+    foldResult(const QueryInterval& q)
+    {
+        result_.candidates_per_query[q.query] = q.candidates;
+        result_.stall_cycles += q.stalls;
+        if (q.fallback_key) {
+            ++result_.empty_selections;
+        }
+        if (config_.collect_query_trace) {
+            result_.query_intervals.push_back(q.length);
+        }
+    }
+
+    /** Stall attribution (sim/stall.h). */
+    void
+    foldStalls(const QueryInterval& q)
+    {
+        const std::uint64_t begin = q.begin;
+        const std::uint64_t end = q.end();
+        // Hash module: hashes the next query, then waits for the
+        // slower stage holding the interval open; after the last
+        // query there is nothing left to hash.
+        if (q.hashes_next) {
+            tile(AttributedModule::kHash, 1, begin, end,
+                 {{StallCause::kBusy, hash_cycles_}},
+                 StallCause::kBackpressured);
+        } else {
+            tile(AttributedModule::kHash, 1, begin, end, {},
+                 StallCause::kDrained);
+        }
+        // Norm module: all of its work happened in preprocessing.
+        tile(AttributedModule::kNorm, 1, begin, end, {},
+             StallCause::kDrained);
+        for (const BankQueryTrace& bank : q.banks) {
+            // Candidate modules: scanning is work, a full queue is a
+            // bank conflict (P_c modules vs one grant port),
+            // done-scanning-while-queues-drain is drain-out, and after
+            // the bank finishes (or, without keys, throughout) they
+            // wait for the next query gated by the slowest bank.
+            tile(AttributedModule::kCandidateSelection, config_.pc,
+                 begin, end,
+                 {{StallCause::kBusy, bank.scan_cycles},
+                  {StallCause::kBankConflict, bank.stall_cycles},
+                  {StallCause::kDrained, bank.drained_module_cycles}},
+                 StallCause::kStarved);
+            // Arbiter: one grant per cycle when any queue holds a
+            // candidate; otherwise it waits on the scanners.
+            const std::uint64_t grants = bank.grant_order.size();
+            tile(AttributedModule::kArbitration, 1, begin, end,
+                 {{StallCause::kBusy, grants}}, StallCause::kStarved);
+            // Attention module: one granted candidate per cycle plus
+            // the pipeline drain hand-off.
+            const std::uint64_t attention_busy =
+                grants > 0 ? grants + config_.attention_pipeline_latency
+                           : 0;
+            tile(AttributedModule::kAttention, 1, begin, end,
+                 {{StallCause::kBusy, attention_busy}},
+                 StallCause::kStarved);
+        }
+        // Output division: works on the previous query's row; the
+        // first interval has nothing to divide yet.
+        tile(AttributedModule::kOutputDivision, 1, begin, end,
+             {{StallCause::kBusy, q.query > 0 ? division_cycles_ : 0}},
+             StallCause::kStarved);
+    }
+
+    /**
+     * Per-query lifecycle span (obs/span.h): an exact telescoping
+     * decomposition of [entry, exit). The hash overlaps the previous
+     * interval (query 0 hashes at the end of preprocessing), the
+     * critical bank's scan splits into minimum scan time plus
+     * backpressure delay plus arbiter drain-out, attention adds its
+     * hand-off latency, and the division follows the interval. Each
+     * component is the gap between two pipeline timestamps, so the
+     * integer sum equals exit - entry exactly.
+     */
+    void
+    foldSpan(const QueryInterval& q)
+    {
+        const BankQueryTrace& critical = q.banks[q.critical_bank];
+        const std::uint64_t latency = config_.attention_pipeline_latency;
+        // Every key takes exactly one module cycle to scan.
+        const std::uint64_t base_scan =
+            ceilDiv(critical.scan_cycles, config_.pc);
+        const std::uint64_t hash_wait =
+            q.query == 0 ? 0 : q.prev_length - hash_cycles_;
+
+        obs::QuerySpanRecord record;
+        record.query = q.query;
+        record.entry_cycle = q.begin - hash_wait - hash_cycles_;
+        record.exit_cycle = q.divisionBegin() + division_cycles_;
+        record.tag = q.critical_bank;
+        record.stages.resize(kNumAttributedModules);
+        for (obs::StageSpan& stage : record.stages) {
+            stage.stall.assign(kNumStallCauses, 0);
+        }
+        spanStage(record, AttributedModule::kHash).service = hash_cycles_;
+        obs::StageSpan& select =
+            spanStage(record, AttributedModule::kCandidateSelection);
+        select.queue_wait = hash_wait;
+        select.service = base_scan;
+        select.stall[static_cast<std::size_t>(
+            StallCause::kBankConflict)] =
+            critical.scan_done_cycle - base_scan;
+        spanStage(record, AttributedModule::kArbitration).service =
+            critical.cycles - critical.scan_done_cycle;
+        spanStage(record, AttributedModule::kAttention).service = latency;
+        obs::StageSpan& division =
+            spanStage(record, AttributedModule::kOutputDivision);
+        division.queue_wait = q.length - (critical.cycles + latency);
+        division.service = division_cycles_;
+        spans_->addRecord(std::move(record));
+    }
+
+    /** Telemetry-only channels: queue depth integral over the
+     *  interval and a completion mark in its last bin. */
+    void
+    foldTelemetry(const QueryInterval& q)
+    {
+        std::uint64_t occupancy = 0;
+        for (const BankQueryTrace& bank : q.banks) {
+            occupancy += bank.queue_occupancy_cycles;
+        }
+        ts_->addSpread(queue_ch_, q.begin, q.end(), occupancy);
+        ts_->addAt(queries_ch_, q.length > 0 ? q.end() - 1 : q.begin,
+                   1.0);
+    }
+
+    /** Chrome trace events; their order is part of trace.json. */
+    void
+    foldTrace(const QueryInterval& q)
+    {
+        for (std::size_t b = 0; b < q.banks.size(); ++b) {
+            // A bank without keys never scans.
+            if (q.banks[b].cycles > 0) {
+                trace_->completeEvent(
+                    queryEventName(q.query, "scan"), "execute", pid_,
+                    kTidBank0 + static_cast<std::uint32_t>(b), q.begin,
+                    q.banks[b].cycles);
+            }
+        }
+        if (q.fallback_key) {
+            const auto bank = static_cast<std::uint32_t>(
+                *q.fallback_key / keys_per_bank_);
+            trace_->instantEvent("fallback", pid_, kTidBank0 + bank,
+                                 q.begin);
+        }
+        if (q.hashes_next) {
+            trace_->completeEvent(queryEventName(q.query + 1, "hash"),
+                                  "execute", pid_, kTidHash, q.begin,
+                                  hash_cycles_);
+        }
+        trace_->completeEvent(queryEventName(q.query, "divide"),
+                              "execute", pid_, kTidDivision,
+                              q.divisionBegin(), division_cycles_);
+        trace_->counterEvent("candidates", pid_, q.begin,
+                             static_cast<double>(q.candidates));
+        trace_->counterEvent("stall cycles", pid_, q.begin,
+                             static_cast<double>(q.stalls));
+        if (!config_.attribute_stalls) {
+            return;
+        }
+        // Cumulative per-lane cause counters, one Perfetto track per
+        // (module, cause); emitted only on change to bound the event
+        // count.
+        const StallBreakdown& causes = result_.stall_breakdown;
+        for (const AttributedModule module : allAttributedModules()) {
+            for (const StallCause cause : allStallCauses()) {
+                const std::uint64_t now = causes.get(module, cause);
+                if (now != traced_causes_.get(module, cause)) {
+                    trace_->counterEvent(stallTrackName(module, cause),
+                                         pid_, q.end(),
+                                         static_cast<double>(now));
+                }
+            }
+        }
+        traced_causes_ = causes;
+    }
+
+    /** Energy-model activity (Fig. 13). */
+    void
+    foldActivity(const QueryInterval& q)
+    {
+        const std::uint64_t begin = q.begin;
+        const std::uint64_t end = q.end();
+        // Candidate modules and the hash/norm SRAMs they read run for
+        // the scanned keys; the attention modules and the key/value
+        // SRAM run one cycle per granted candidate.
+        double scanned_keys = 0.0;
+        for (const BankQueryTrace& bank : q.banks) {
+            scanned_keys += static_cast<double>(bank.scan_cycles);
+        }
+        const double group_scan =
+            scanned_keys / static_cast<double>(config_.pa * config_.pc);
+        addActivity(HwModule::kCandidateSelection, group_scan, begin,
+                    end);
+        addActivity(HwModule::kKeyHashMemory, group_scan, begin, end);
+        addActivity(HwModule::kKeyNormMemory, group_scan, begin, end);
+        const double attention_cycles =
+            static_cast<double>(q.candidates)
+            / static_cast<double>(config_.pa);
+        addActivity(HwModule::kAttentionCompute, attention_cycles, begin,
+                    end);
+        addActivity(HwModule::kKeyValueMemory, attention_cycles, begin,
+                    end);
+        // The energy model books the query's own division, with its
+        // query read + output write traffic, in its own interval.
+        const auto division = static_cast<double>(division_cycles_);
+        addActivity(HwModule::kOutputDivision, division, begin, end);
+        addActivity(HwModule::kQueryOutputMemory, 1.0 + division, begin,
+                    end);
+        if (q.hashes_next) {
+            addActivity(HwModule::kHashComputation,
+                        static_cast<double>(hash_cycles_), begin, end);
+        }
+    }
+
+    /**
+     * Attribute `lanes` x [begin, end) lane cycles of one module:
+     * charge the listed parts, then give the remainder to `rest`, so
+     * the module's causes sum to its lane cycles by construction.
+     */
+    void
+    tile(AttributedModule module, std::uint64_t lanes,
+         std::uint64_t begin, std::uint64_t end,
+         std::initializer_list<TilePart> parts, StallCause rest)
+    {
+        std::uint64_t left = lanes * (end - begin);
+        for (const TilePart& part : parts) {
+            ELSA_DASSERT(part.cycles <= left,
+                         attributedModuleName(module)
+                             << " parts exceed " << lanes
+                             << " lanes x " << end - begin
+                             << " cycles");
+            left -= part.cycles;
+            charge(module, part.cause, part.cycles, begin, end);
+        }
+        charge(module, rest, left, begin, end);
+    }
+
+    /** Charge one (module, cause) cell and its telemetry channel. */
+    void
+    charge(AttributedModule module, StallCause cause,
+           std::uint64_t lane_cycles, std::uint64_t begin,
+           std::uint64_t end)
+    {
+        result_.stall_breakdown.add(module, cause, lane_cycles);
+        if (ts_ != nullptr) {
+            ts_->addSpread(stall_ch_[static_cast<std::size_t>(module)]
+                                    [static_cast<std::size_t>(cause)],
+                           begin, end, lane_cycles);
+        }
+    }
+
+    /** Add energy-model activity and its telemetry channel. */
+    void
+    addActivity(HwModule module, double cycles, std::uint64_t begin,
+                std::uint64_t end)
+    {
+        result_.activity.add(module, cycles);
+        if (ts_ != nullptr) {
+            ts_->addSpreadReal(
+                activity_ch_[static_cast<std::size_t>(module)], begin,
+                end, cycles);
+        }
+    }
+
+    const SimConfig& config_;
+    const std::size_t n_;
+    const std::size_t keys_per_bank_;
+    const std::uint64_t hash_cycles_;
+    const std::uint64_t division_cycles_;
+    RunResult& result_;
+    obs::TraceWriter* const trace_;
+    const std::uint32_t pid_;
+
+    /** Null unless SimConfig::telemetry / query_spans is enabled. */
+    obs::TimeSeries* ts_ = nullptr;
+    obs::QuerySpanSet* spans_ = nullptr;
+    /** Telemetry channel ids. */
+    std::array<std::array<std::size_t, kNumStallCauses>,
+               kNumAttributedModules>
+        stall_ch_{};
+    std::array<std::size_t, 9> activity_ch_{};
+    std::size_t queue_ch_ = 0;
+    std::size_t queries_ch_ = 0;
+    /** Cause totals the trace's counter tracks already show. */
+    StallBreakdown traced_causes_;
+};
+
+/**
+ * Inject SimConfig::fault into the preprocessed state (fault/fault.h,
+ * docs/ROBUSTNESS.md) and report what it did. The plan depends only on
+ * (config, geometry), never on execution order, so faulted runs are
+ * bit-reproducible at any thread count; faults strike the SRAMs after
+ * preprocessing fills them. Detected words are repaired by the modeled
+ * re-fetch (their cost is the report's retry stall cycles) and
+ * corrected words are repaired in line, so only silent faults perturb
+ * values. LUT faults corrupt per-run copies of the units; the model's
+ * pristine units are never touched (Accelerator::run is const and
+ * shared across threads).
+ */
+FaultReport
+injectFaults(const SimConfig& config, FunctionalContext& ctx,
+             const FunctionalModel& functional)
+{
+    FaultReport report;
+    if (!config.fault.enabled || config.fault.bit_error_rate <= 0.0) {
+        return report;
+    }
     const std::size_t n = ctx.input.n();
     const std::size_t d = ctx.input.d();
+    FaultGeometry geometry;
+    geometry.n = n;
+    geometry.k = config.k;
+    geometry.d = config.d;
+    geometry.lut_words = ExpUnit::kLutSize + ReciprocalUnit::kLutSize;
+    const FaultPlan plan = FaultPlan::build(config.fault, geometry);
     std::shared_ptr<ExpUnit> exp_copy;
     std::shared_ptr<ReciprocalUnit> recip_copy;
     for (const WordFault& fault : plan.faults()) {
@@ -161,6 +723,10 @@ applySilentFaults(const FaultPlan& plan, FunctionalContext& ctx,
     }
     ctx.faulted_exp = std::move(exp_copy);
     ctx.faulted_recip = std::move(recip_copy);
+    report.enabled = true;
+    report.counts = plan.counts();
+    report.retry_stall_cycles = plan.retryStallCycles(config.fault);
+    return report;
 }
 
 } // namespace
@@ -225,21 +791,15 @@ Accelerator::run(const AttentionInput& input, double threshold) const
 {
     input.validate();
     const std::size_t n = input.n();
-    const std::size_t d = config_.d;
     const std::size_t pa = config_.pa;
     const std::size_t keys_per_bank = ceilDiv(n, pa);
 
     RunResult result;
-    result.output = Matrix(n, d);
+    result.output = Matrix(n, config_.d);
     result.candidates_per_query.resize(n);
     if (config_.collect_query_trace) {
         result.query_candidates.resize(n);
     }
-
-    // Pipeline tracing is opt-in twice over (config flag + attached
-    // writer) and, when off, costs exactly this branch per run.
-    const bool tracing =
-        config_.emit_trace && trace_ != nullptr && trace_->enabled();
 
     // Datapath saturation counting (fixed/saturation.h): a counter
     // struct is attached to this thread for the run's duration; with
@@ -252,635 +812,94 @@ Accelerator::run(const AttentionInput& input, double threshold) const
 
     // ---- Preprocessing phase (Section IV-C (2)) ----
     FunctionalContext ctx = functional_.preprocess(input);
-
-    // ---- Fault injection (fault/fault.h, docs/ROBUSTNESS.md) ----
-    // The plan depends only on (config, geometry), never on execution
-    // order, so faulted runs are bit-reproducible at any thread
-    // count. Faults strike the SRAMs after preprocessing fills them.
-    if (config_.fault.enabled && config_.fault.bit_error_rate > 0.0) {
-        FaultGeometry geometry;
-        geometry.n = n;
-        geometry.k = config_.k;
-        geometry.d = config_.d;
-        geometry.lut_words =
-            ExpUnit::kLutSize + ReciprocalUnit::kLutSize;
-        const FaultPlan plan =
-            FaultPlan::build(config_.fault, geometry);
-        applySilentFaults(plan, ctx, functional_);
-        result.fault.enabled = true;
-        result.fault.counts = plan.counts();
-        result.fault.retry_stall_cycles =
-            plan.retryStallCycles(config_.fault);
-    }
-    const std::size_t hash_per_vec = hashCyclesPerVector(config_);
     result.preprocess_cycles = preprocessingCycles(config_, n);
+    result.fault = injectFaults(config_, ctx, functional_);
 
-    // ---- Telemetry time series (obs/timeseries.h) ----
-    // Opt-in binned recording of the same quantities attribution and
-    // the energy model already compute, spread over cycle bins. The
-    // helpers below are the single source of the arithmetic, so the
-    // bins conserve against the totals exactly; when telemetry is
-    // off (the default), ts stays null and they reduce to the plain
-    // accumulators.
-    obs::TimeSeries* ts = nullptr;
-    std::array<std::array<std::size_t, kNumStallCauses>,
-               kNumAttributedModules>
-        stall_ch{};
-    std::array<std::size_t, 9> activity_ch{};
-    std::size_t queue_ch = 0;
-    std::size_t queries_ch = 0;
-    if (config_.telemetry.enabled) {
-        result.telemetry = std::make_shared<obs::TimeSeries>(
-            config_.telemetry.bin_width_cycles);
-        ts = result.telemetry.get();
-        for (const AttributedModule module : allAttributedModules()) {
-            for (const StallCause cause : allStallCauses()) {
-                // Mirror the stats gating: fault_retry channels only
-                // exist when fault injection can make them nonzero.
-                if (cause == StallCause::kFaultRetry
-                    && !config_.fault.enabled) {
-                    continue;
-                }
-                stall_ch[static_cast<std::size_t>(module)]
-                        [static_cast<std::size_t>(cause)] =
-                    ts->channel(stallTrackName(module, cause));
-            }
-        }
-        for (const HwModule module : allHwModules()) {
-            std::string name = "activity.";
-            name += hwModuleMetricName(module);
-            activity_ch[static_cast<std::size_t>(module)] =
-                ts->channel(name);
-        }
-        queue_ch = ts->channel("queue.occupancy_cycles");
-        queries_ch = ts->channel("queries.completed");
-    }
+    // Pipeline tracing is opt-in twice over (config flag + attached
+    // writer) and, when off, costs one branch per query.
+    const bool tracing =
+        config_.emit_trace && trace_ != nullptr && trace_->enabled();
+    RunRecorder recorder(config_, n, result, tracing ? trace_ : nullptr,
+                         trace_pid_);
+    recorder.preprocess();
 
-    // ---- Per-query lifecycle spans (obs/span.h) ----
-    // Opt-in exact decomposition of every query's end-to-end cycles
-    // into per-stage queue-wait / service / stall components; like
-    // attribution and telemetry it is post-hoc arithmetic that never
-    // perturbs the simulated timing, and when off (the default) the
-    // pointer stays null and nothing is allocated or published.
-    obs::QuerySpanSet* spans = nullptr;
-    if (config_.query_spans.enabled) {
-        std::vector<std::string> stage_names;
-        std::vector<std::string> cause_names;
-        for (const AttributedModule module : allAttributedModules()) {
-            stage_names.emplace_back(
-                attributedModuleMetricName(module));
-        }
-        for (const StallCause cause : allStallCauses()) {
-            cause_names.emplace_back(stallCauseMetricName(cause));
-        }
-        result.spans = std::make_shared<obs::QuerySpanSet>(
-            std::move(stage_names), std::move(cause_names));
-        spans = result.spans.get();
-    }
-    std::vector<SpanFlowPoint> span_flow;
-
-    const auto attributeSpan =
-        [&result, ts, &stall_ch](AttributedModule module,
-                                 StallCause cause,
-                                 std::uint64_t lane_cycles,
-                                 std::uint64_t begin,
-                                 std::uint64_t end) {
-            result.stall_breakdown.add(module, cause, lane_cycles);
-            if (ts != nullptr) {
-                ts->addSpread(
-                    stall_ch[static_cast<std::size_t>(module)]
-                            [static_cast<std::size_t>(cause)],
-                    begin, end, lane_cycles);
-            }
-        };
-    const auto addActivity =
-        [&result, ts, &activity_ch](HwModule module, double cycles,
-                                    std::uint64_t begin,
-                                    std::uint64_t end) {
-            result.activity.add(module, cycles);
-            if (ts != nullptr) {
-                ts->addSpreadReal(
-                    activity_ch[static_cast<std::size_t>(module)],
-                    begin, end, cycles);
-            }
-        };
-    const std::uint64_t pre_end = result.preprocess_cycles;
-
-    // Hash module: n key hashes + the first query hash.
-    addActivity(HwModule::kHashComputation,
-                static_cast<double>(hash_per_vec * (n + 1)), 0,
-                pre_end);
-    // Norm module and the attention multipliers it borrows: one key
-    // dot product per attention module per cycle.
-    const double norm_cycles =
-        static_cast<double>(ceilDiv(n, pa));
-    addActivity(HwModule::kNormComputation, static_cast<double>(n),
-                0, pre_end);
-    addActivity(HwModule::kAttentionCompute, norm_cycles, 0, pre_end);
-    // SRAM traffic of the preprocessing phase: key/value reads for
-    // hashing and norms, key hash/norm writes.
-    addActivity(HwModule::kKeyValueMemory, norm_cycles, 0, pre_end);
-    addActivity(HwModule::kKeyHashMemory,
-                static_cast<double>(n) / (pa * config_.pc), 0,
-                pre_end);
-    addActivity(HwModule::kKeyNormMemory,
-                static_cast<double>(n) / (pa * config_.pc), 0,
-                pre_end);
-
-    if (tracing) {
-        trace_->completeEvent("preprocess: hash keys+q0", "preprocess",
-                              trace_pid_, kTidHash, 0,
-                              result.preprocess_cycles);
-        trace_->completeEvent("preprocess: key norms", "preprocess",
-                              trace_pid_, kTidNorm, 0,
-                              static_cast<std::uint64_t>(norm_cycles));
-    }
-
-    // ---- Stall attribution of the preprocessing phase ----
-    // Attribution is post-hoc arithmetic over already-simulated
-    // quantities (see sim/stall.h); with the flag off this whole
-    // layer costs one branch per run plus one per query.
-    const bool attribute = config_.attribute_stalls;
-    StallBreakdown& causes = result.stall_breakdown;
-    if (attribute) {
-        const std::uint64_t pre = result.preprocess_cycles;
-        // Hash module: n key hashes + the first query hash; any
-        // remainder of the phase it sits on a finished hash waiting
-        // for execution to start draining its buffer.
-        const std::uint64_t hash_busy =
-            static_cast<std::uint64_t>(hash_per_vec) * (n + 1);
-        attributeSpan(AttributedModule::kHash, StallCause::kBusy,
-                      hash_busy, 0, pre);
-        attributeSpan(AttributedModule::kHash,
-                      StallCause::kBackpressured, pre - hash_busy, 0,
-                      pre);
-        // Norm module: occupied until its pipeline drains, then done
-        // for the whole run.
-        const std::uint64_t norm_busy =
-            static_cast<std::uint64_t>(ceilDiv(n, pa))
-            + config_.attention_pipeline_latency;
-        attributeSpan(AttributedModule::kNorm, StallCause::kBusy,
-                      norm_busy, 0, pre);
-        attributeSpan(AttributedModule::kNorm, StallCause::kDrained,
-                      pre - norm_busy, 0, pre);
-        // The attention multipliers compute one key dot product per
-        // key for the norms; otherwise the execution-phase modules
-        // wait for the first query.
-        attributeSpan(AttributedModule::kAttention, StallCause::kBusy,
-                      n, 0, pre);
-        attributeSpan(AttributedModule::kAttention,
-                      StallCause::kStarved,
-                      static_cast<std::uint64_t>(pa) * pre - n, 0,
-                      pre);
-        attributeSpan(AttributedModule::kCandidateSelection,
-                      StallCause::kStarved,
-                      static_cast<std::uint64_t>(pa * config_.pc)
-                          * pre,
-                      0, pre);
-        attributeSpan(AttributedModule::kArbitration,
-                      StallCause::kStarved,
-                      static_cast<std::uint64_t>(pa) * pre, 0, pre);
-        attributeSpan(AttributedModule::kOutputDivision,
-                      StallCause::kStarved, pre, 0, pre);
-    }
-    // Per-bank attribution inputs, reused across queries; cumulative
-    // counters already emitted to the trace (for delta detection).
-    std::vector<BankAttribution> bank_attr(attribute ? pa : 0);
-    StallBreakdown traced_causes;
-
-    // ---- Execution phase ----
+    // ---- Execution phase: one pipeline interval per query ----
+    const std::size_t hash_per_vec = hashCyclesPerVector(config_);
     const std::size_t division_cycles = divisionCyclesPerQuery(config_);
-    std::size_t exec_cycles = 0;
-    // Pipeline-time cursor: start of the current query's interval
-    // (feeds both trace timestamps and telemetry spans).
-    std::uint64_t cursor = result.preprocess_cycles;
-
+    QueryInterval q;
+    q.begin = result.preprocess_cycles;
+    q.banks.resize(pa);
     std::vector<std::vector<std::uint32_t>> bank_grants(pa);
-    // The previous query's interval bounds this query's span
-    // queue-wait (its hash overlapped that interval).
-    std::size_t prev_interval = 0;
     for (std::size_t i = 0; i < n; ++i) {
         const HashView query_hash = ctx.query_hashes[i];
-
-        std::size_t total_candidates = 0;
-        std::size_t max_bank_cycles = 0;
-        std::size_t query_stalls = 0;
-        std::size_t query_occupancy = 0;
-        double scanned_keys = 0.0;
-        // Critical bank of the span decomposition: the bank holding
-        // max_bank_cycles open (ties -> lowest index).
-        std::size_t crit_bank = 0;
-        std::size_t crit_keys = 0;
-        std::size_t crit_scan_done = 0;
+        q.query = i;
+        q.hashes_next = i + 1 < n;
+        q.critical_bank = 0;
+        q.candidates = 0;
+        q.stalls = 0;
+        q.fallback_key.reset();
         for (std::size_t b = 0; b < pa; ++b) {
             const std::size_t begin = b * keys_per_bank;
-            const std::size_t end =
-                std::min(n, begin + keys_per_bank);
+            const std::size_t end = std::min(n, begin + keys_per_bank);
+            BankQueryTrace& bank = q.banks[b];
+            bank = begin < end
+                       ? simulateBankQuery(
+                             functional_.bankHits(ctx, query_hash, begin,
+                                                  end, threshold),
+                             config_)
+                       : BankQueryTrace{};
             bank_grants[b].clear();
-            if (attribute) {
-                bank_attr[b] = BankAttribution{};
-            }
-            if (begin >= end) {
-                continue;
-            }
-            const std::vector<bool> hits = functional_.bankHits(
-                ctx, query_hash, begin, end, threshold);
-            const BankQueryTrace trace =
-                simulateBankQuery(hits, config_);
-            for (const auto local : trace.grant_order) {
+            for (const auto local : bank.grant_order) {
                 bank_grants[b].push_back(
                     static_cast<std::uint32_t>(begin + local));
             }
-            total_candidates += trace.grant_order.size();
-            result.stall_cycles += trace.stall_cycles;
-            query_stalls += trace.stall_cycles;
-            query_occupancy += trace.queue_occupancy_cycles;
-            scanned_keys += static_cast<double>(trace.scan_cycles);
-            if (spans != nullptr && trace.cycles > max_bank_cycles) {
-                crit_bank = b;
-                crit_keys = end - begin;
-                crit_scan_done = trace.scan_done_cycle;
-            }
-            max_bank_cycles = std::max(max_bank_cycles, trace.cycles);
-            if (attribute) {
-                bank_attr[b] = {true, trace.cycles,
-                                trace.grant_order.size(),
-                                trace.scan_cycles, trace.stall_cycles,
-                                trace.drained_module_cycles};
-            }
-            if (tracing) {
-                trace_->completeEvent(
-                    queryEventName(i, "scan"), "execute", trace_pid_,
-                    kTidBank0 + static_cast<std::uint32_t>(b), cursor,
-                    trace.cycles);
+            q.candidates += bank.grant_order.size();
+            q.stalls += bank.stall_cycles;
+            if (bank.cycles > q.banks[q.critical_bank].cycles) {
+                q.critical_bank = b;
             }
         }
-
-        bool used_fallback = false;
-        std::uint32_t fallback_bank = 0;
-        if (total_candidates == 0) {
+        if (q.candidates == 0) {
             // Fallback: use the key with the highest approximate
             // similarity so the output row stays defined.
-            ++result.empty_selections;
-            used_fallback = true;
             const std::uint32_t best = functional_.bestKey(ctx,
                                                            query_hash);
-            fallback_bank =
-                static_cast<std::uint32_t>(best / keys_per_bank);
-            bank_grants[fallback_bank].push_back(best);
-            total_candidates = 1;
-        }
-        result.candidates_per_query[i] = total_candidates;
-        if (config_.collect_query_trace) {
-            std::vector<std::uint32_t>& ids = result.query_candidates[i];
-            for (std::size_t b = 0; b < pa; ++b) {
-                ids.insert(ids.end(), bank_grants[b].begin(),
-                           bank_grants[b].end());
-            }
+            q.fallback_key = best;
+            bank_grants[best / keys_per_bank].push_back(best);
+            q.candidates = 1;
         }
 
-        // Pipeline interval of this query (Fig. 9): the banked scan
-        // plus attention drain, the (overlapped) hash of the next
-        // query, and the (overlapped) division of the previous one.
-        const std::size_t bank_time =
-            max_bank_cycles + config_.attention_pipeline_latency;
-        const std::size_t interval =
-            std::max({bank_time, hash_per_vec, division_cycles});
-        exec_cycles += interval;
-
-        // ---- Per-query span record ----
-        // Exact telescoping decomposition of the query's lifecycle
-        // [entry, exit): its hash overlaps the previous interval
-        // (entry = that interval's start; query 0 hashes at the end
-        // of preprocessing), the critical bank's scan splits into
-        // minimum scan time plus backpressure delay plus arbiter
-        // drain-out, attention adds its hand-off latency, and the
-        // division lands in the next interval. Each component is the
-        // gap between two pipeline timestamps, so the integer sum
-        // equals exit - entry exactly (asserted in obs/span.h).
-        if (spans != nullptr) {
-            const std::size_t base_scan =
-                ceilDiv(crit_keys, config_.pc);
-            obs::QuerySpanRecord record;
-            record.query = i;
-            record.entry_cycle =
-                i == 0 ? static_cast<std::uint64_t>(
-                             result.preprocess_cycles - hash_per_vec)
-                       : cursor - prev_interval;
-            record.exit_cycle = cursor + interval + division_cycles;
-            record.tag = crit_bank;
-            record.stages.resize(kNumAttributedModules);
-            for (obs::StageSpan& stage : record.stages) {
-                stage.stall.assign(kNumStallCauses, 0);
-            }
-            record.stages[static_cast<std::size_t>(
-                              AttributedModule::kHash)]
-                .service = hash_per_vec;
-            obs::StageSpan& select =
-                record.stages[static_cast<std::size_t>(
-                    AttributedModule::kCandidateSelection)];
-            select.queue_wait =
-                i == 0 ? 0 : prev_interval - hash_per_vec;
-            select.service = base_scan;
-            select.stall[static_cast<std::size_t>(
-                StallCause::kBankConflict)] =
-                crit_scan_done - base_scan;
-            record.stages[static_cast<std::size_t>(
-                              AttributedModule::kArbitration)]
-                .service = max_bank_cycles - crit_scan_done;
-            record.stages[static_cast<std::size_t>(
-                              AttributedModule::kAttention)]
-                .service = config_.attention_pipeline_latency;
-            obs::StageSpan& division =
-                record.stages[static_cast<std::size_t>(
-                    AttributedModule::kOutputDivision)];
-            division.queue_wait = interval - bank_time;
-            division.service = division_cycles;
-            if (tracing) {
-                span_flow.push_back(
-                    {record.entry_cycle, cursor, cursor + interval,
-                     static_cast<std::uint32_t>(crit_bank)});
-            }
-            spans->addRecord(std::move(record));
-        }
-
-        if (attribute) {
-            const std::uint64_t iv = interval;
-            const std::uint64_t iv_end = cursor + iv;
-            const std::uint64_t latency =
-                config_.attention_pipeline_latency;
-            // Hash module: overlaps the next query's hash, then waits
-            // for the slower stage holding the interval open; after
-            // the last query there is nothing left to hash.
-            if (i + 1 < n) {
-                attributeSpan(AttributedModule::kHash,
-                              StallCause::kBusy, hash_per_vec,
-                              cursor, iv_end);
-                attributeSpan(AttributedModule::kHash,
-                              StallCause::kBackpressured,
-                              iv - hash_per_vec, cursor, iv_end);
-            } else {
-                attributeSpan(AttributedModule::kHash,
-                              StallCause::kDrained, iv, cursor,
-                              iv_end);
-            }
-            // Norm module: all of its work happened in preprocessing.
-            attributeSpan(AttributedModule::kNorm,
-                          StallCause::kDrained, iv, cursor, iv_end);
-            for (std::size_t b = 0; b < pa; ++b) {
-                const BankAttribution& bank = bank_attr[b];
-                if (!bank.active) {
-                    attributeSpan(AttributedModule::kCandidateSelection,
-                                  StallCause::kStarved,
-                                  config_.pc * iv, cursor, iv_end);
-                    attributeSpan(AttributedModule::kArbitration,
-                                  StallCause::kStarved, iv, cursor,
-                                  iv_end);
-                    attributeSpan(AttributedModule::kAttention,
-                                  StallCause::kStarved, iv, cursor,
-                                  iv_end);
-                    continue;
-                }
-                // Candidate modules: scanning is work, a full queue
-                // is a bank conflict (P_c modules vs one grant port),
-                // done-scanning-while-queues-drain is drain-out, and
-                // after the bank finishes it waits for the next query
-                // gated by the slowest bank.
-                attributeSpan(AttributedModule::kCandidateSelection,
-                              StallCause::kBusy, bank.scan, cursor,
-                              iv_end);
-                attributeSpan(AttributedModule::kCandidateSelection,
-                              StallCause::kBankConflict,
-                              bank.conflict, cursor, iv_end);
-                attributeSpan(AttributedModule::kCandidateSelection,
-                              StallCause::kDrained, bank.drained,
-                              cursor, iv_end);
-                attributeSpan(AttributedModule::kCandidateSelection,
-                              StallCause::kStarved,
-                              config_.pc * (iv - bank.cycles),
-                              cursor, iv_end);
-                // Arbiter: one grant per cycle when any queue holds a
-                // candidate; otherwise it waits on the scanners.
-                attributeSpan(AttributedModule::kArbitration,
-                              StallCause::kBusy, bank.grants, cursor,
-                              iv_end);
-                attributeSpan(AttributedModule::kArbitration,
-                              StallCause::kStarved, iv - bank.grants,
-                              cursor, iv_end);
-                // Attention module: one granted candidate per cycle
-                // plus the pipeline drain hand-off.
-                const std::uint64_t attention_busy =
-                    bank.grants > 0 ? bank.grants + latency
-                                    : bank.grants;
-                attributeSpan(AttributedModule::kAttention,
-                              StallCause::kBusy, attention_busy,
-                              cursor, iv_end);
-                attributeSpan(AttributedModule::kAttention,
-                              StallCause::kStarved,
-                              iv - attention_busy, cursor, iv_end);
-            }
-            // Output division: works on the previous query's row; the
-            // first interval has nothing to divide yet.
-            if (i == 0) {
-                attributeSpan(AttributedModule::kOutputDivision,
-                              StallCause::kStarved, iv, cursor,
-                              iv_end);
-            } else {
-                attributeSpan(AttributedModule::kOutputDivision,
-                              StallCause::kBusy, division_cycles,
-                              cursor, iv_end);
-                attributeSpan(AttributedModule::kOutputDivision,
-                              StallCause::kStarved,
-                              iv - division_cycles, cursor, iv_end);
-            }
-        }
-
-        // Telemetry-only channels: queue depth integral over the
-        // interval and a completion mark in the interval's last bin.
-        if (ts != nullptr) {
-            ts->addSpread(queue_ch, cursor, cursor + interval,
-                          query_occupancy);
-            const std::uint64_t last =
-                interval > 0 ? cursor + interval - 1 : cursor;
-            ts->addAt(queries_ch, last, 1.0);
-        }
-
-        if (tracing) {
-            if (used_fallback) {
-                trace_->instantEvent("fallback", trace_pid_,
-                                     kTidBank0 + fallback_bank,
-                                     cursor);
-            }
-            if (i + 1 < n) {
-                // The next query's hash overlaps this interval.
-                trace_->completeEvent(queryEventName(i + 1, "hash"),
-                                      "execute", trace_pid_, kTidHash,
-                                      cursor, hash_per_vec);
-            }
-            // This query's output division drains during the next
-            // interval (or the tail after the last query).
-            trace_->completeEvent(queryEventName(i, "divide"),
-                                  "execute", trace_pid_, kTidDivision,
-                                  cursor + interval, division_cycles);
-            trace_->counterEvent("candidates", trace_pid_, cursor,
-                                 static_cast<double>(total_candidates));
-            trace_->counterEvent("stall cycles", trace_pid_, cursor,
-                                 static_cast<double>(query_stalls));
-            // Cumulative per-lane cause counters, one Perfetto track
-            // per (module, cause); emitted only on change to bound
-            // the event count.
-            if (attribute) {
-                for (const AttributedModule module :
-                     allAttributedModules()) {
-                    for (const StallCause cause : allStallCauses()) {
-                        const std::uint64_t now =
-                            causes.get(module, cause);
-                        if (now == traced_causes.get(module, cause)) {
-                            continue;
-                        }
-                        trace_->counterEvent(
-                            stallTrackName(module, cause), trace_pid_,
-                            cursor + interval,
-                            static_cast<double>(now));
-                    }
-                }
-                traced_causes = causes;
-            }
-        }
-
-        if (config_.collect_query_trace) {
-            result.query_trace.push_back(
-                {i, interval, max_bank_cycles, total_candidates,
-                 query_stalls, used_fallback});
-        }
-
-        // Activity: candidate modules and the hash/norm SRAMs they
-        // read run for the scanned keys; the attention modules and
-        // the key/value SRAM run one cycle per granted candidate.
-        const std::uint64_t iv_end = cursor + interval;
-        const double group_scan = scanned_keys
-                                  / static_cast<double>(pa * config_.pc);
-        addActivity(HwModule::kCandidateSelection, group_scan, cursor,
-                    iv_end);
-        addActivity(HwModule::kKeyHashMemory, group_scan, cursor,
-                    iv_end);
-        addActivity(HwModule::kKeyNormMemory, group_scan, cursor,
-                    iv_end);
-        const double attention_cycles =
-            static_cast<double>(total_candidates)
-            / static_cast<double>(pa);
-        addActivity(HwModule::kAttentionCompute, attention_cycles,
-                    cursor, iv_end);
-        addActivity(HwModule::kKeyValueMemory, attention_cycles,
-                    cursor, iv_end);
-        addActivity(HwModule::kOutputDivision,
-                    static_cast<double>(division_cycles), cursor,
-                    iv_end);
-        // Query read + output write traffic.
-        addActivity(HwModule::kQueryOutputMemory,
-                    1.0 + static_cast<double>(division_cycles),
-                    cursor, iv_end);
-        // The hash module computes the next query's hash during this
-        // interval.
-        if (i + 1 < n) {
-            addActivity(HwModule::kHashComputation,
-                        static_cast<double>(hash_per_vec), cursor,
-                        iv_end);
-        }
+        // Pipeline interval (Fig. 9): the banked scan plus attention
+        // drain, the (overlapped) hash of the next query, and the
+        // (overlapped) division of the previous one.
+        q.length = std::max({q.banks[q.critical_bank].cycles
+                                 + config_.attention_pipeline_latency,
+                             hash_per_vec, division_cycles});
+        recorder.query(q);
 
         // ---- Functional output ----
+        if (config_.collect_query_trace) {
+            for (const auto& grants : bank_grants) {
+                result.query_candidates[i].insert(
+                    result.query_candidates[i].end(), grants.begin(),
+                    grants.end());
+            }
+        }
         const QueryOutput out =
             functional_.computeQueryOutput(ctx, i, bank_grants);
         std::copy(out.row.begin(), out.row.end(), result.output.row(i));
 
-        cursor += interval;
-        prev_interval = interval;
+        q.prev_length = q.length;
+        q.begin += q.length;
     }
 
-    // Tail: the last query's output division drains after the loop.
-    result.execute_cycles = exec_cycles + division_cycles;
-
-    // Detected faults freeze the whole pipeline while their words are
-    // re-fetched: one global bubble of retry_events x retry_cycles,
-    // conservatively serialized (no overlap with useful work), and
-    // charged to every module as fault_retry lane cycles below. Zero
-    // whenever SimConfig::fault is disabled.
-    const std::uint64_t retry_bubble = result.fault.retry_stall_cycles;
-    result.execute_cycles += static_cast<std::size_t>(retry_bubble);
-
-    if (attribute) {
-        // Everything but the divider has finished when the tail
-        // starts (the cursor sits at the end of the last interval).
-        const std::uint64_t tail = division_cycles;
-        const std::uint64_t tail_end = cursor + tail;
-        attributeSpan(AttributedModule::kOutputDivision,
-                      StallCause::kBusy, tail, cursor, tail_end);
-        attributeSpan(AttributedModule::kHash, StallCause::kDrained,
-                      tail, cursor, tail_end);
-        attributeSpan(AttributedModule::kNorm, StallCause::kDrained,
-                      tail, cursor, tail_end);
-        attributeSpan(AttributedModule::kCandidateSelection,
-                      StallCause::kDrained,
-                      static_cast<std::uint64_t>(pa * config_.pc)
-                          * tail,
-                      cursor, tail_end);
-        attributeSpan(AttributedModule::kArbitration,
-                      StallCause::kDrained,
-                      static_cast<std::uint64_t>(pa) * tail, cursor,
-                      tail_end);
-        attributeSpan(AttributedModule::kAttention,
-                      StallCause::kDrained,
-                      static_cast<std::uint64_t>(pa) * tail, cursor,
-                      tail_end);
-        if (retry_bubble > 0) {
-            for (const AttributedModule module :
-                 allAttributedModules()) {
-                attributeSpan(module, StallCause::kFaultRetry,
-                              attributedModuleLanes(module, config_)
-                                  * retry_bubble,
-                              tail_end, tail_end + retry_bubble);
-            }
-        }
-        // The hard conservation invariant of sim/stall.h; also
-        // enforced (in every build type) by the attribution tests.
-        ELSA_DASSERT(causes.conserves(result.totalCycles(), config_),
-                     "stall-cause lane cycles do not sum to "
-                         << result.totalCycles() << " total cycles");
-    }
-
-    if (spans != nullptr) {
-        // The global retry bubble extends the last query's lifetime;
-        // charge it where the run-level counters charge it too.
-        if (retry_bubble > 0 && n > 0) {
-            spans->addStallToLast(
-                static_cast<std::size_t>(
-                    AttributedModule::kOutputDivision),
-                static_cast<std::size_t>(StallCause::kFaultRetry),
-                retry_bubble);
-        }
-        spans->finalize(config_.query_spans.exemplar_count,
-                        result.totalCycles());
-        if (tracing) {
-            // Flow arrows link each exemplar query's stages across
-            // the trace lanes: hash -> critical-bank scan ->
-            // division. The id is unique per (accelerator, query) so
-            // arrays sharing one writer never cross-link.
-            for (const obs::QuerySpanRecord& record :
-                 spans->records()) {
-                const SpanFlowPoint& fp = span_flow[record.query];
-                const std::uint64_t id =
-                    (static_cast<std::uint64_t>(trace_pid_) << 32)
-                    | record.query;
-                trace_->flowEvent("query span", "span", trace_pid_,
-                                  kTidHash, fp.hash_ts, id, 's');
-                trace_->flowEvent("query span", "span", trace_pid_,
-                                  kTidBank0 + fp.bank, fp.scan_ts, id,
-                                  't');
-                trace_->flowEvent("query span", "span", trace_pid_,
-                                  kTidDivision, fp.div_ts, id, 'f');
-            }
-        }
-    }
+    // Tail: the last query's output division drains after the loop,
+    // then the fault-retry bubble (see RunRecorder::finish).
+    result.execute_cycles =
+        static_cast<std::size_t>(q.begin - result.preprocess_cycles)
+        + division_cycles
+        + static_cast<std::size_t>(result.fault.retry_stall_cycles);
+    recorder.finish(q.begin);
 
     if (config_.count_saturations) {
         result.saturations_counted = true;

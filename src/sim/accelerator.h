@@ -7,7 +7,7 @@
  *
  * The simulator is split functional/timing: the FunctionalModel
  * computes the values flowing through the datapath (with the hardware
- * number formats) while this class assembles the pipeline timing:
+ * number formats) while run() assembles the pipeline timing:
  *
  *   preprocessing:  hash every key + the first query
  *                   (3 d^(4/3) (n+1) / m_h cycles), norms overlapped;
@@ -17,8 +17,17 @@
  *                   interval is the maximum of the bank times, the
  *                   next query's hash time, and the previous query's
  *                   output division time (Fig. 9);
- *   activity:       per-module active-cycle counters feed the energy
- *                   model (Fig. 13).
+ *   tail:           the last query's division, then any fault-retry
+ *                   bubble.
+ *
+ * run() is only that timing loop: per query it fills one record of
+ * the interval (QueryInterval in accelerator.cc) and a recorder folds
+ * it, one method per output, into the energy activity counters
+ * (Fig. 13), the stall breakdown, the telemetry bins, the per-query
+ * spans, the Chrome trace and the interval list. Attribution tiles
+ * each module's lanes and gives the remainder to a rest cause, so the
+ * conservation invariant of sim/stall.h holds by construction. The
+ * folds only read the record, so no recorder can perturb the timing.
  */
 
 #include <cstddef>
@@ -41,23 +50,6 @@ class TraceWriter;
 } // namespace elsa::obs
 
 namespace elsa {
-
-/** One query's timing, recorded when SimConfig::collect_query_trace
- *  is set. */
-struct QueryTraceRecord
-{
-    std::size_t query_id = 0;
-    /** Pipeline interval charged to this query. */
-    std::size_t interval_cycles = 0;
-    /** Slowest bank's scan+drain time. */
-    std::size_t max_bank_cycles = 0;
-    /** Candidates selected (after fallback). */
-    std::size_t candidates = 0;
-    /** Candidate-module stall cycles across banks. */
-    std::size_t stall_cycles = 0;
-    /** True when the no-candidate fallback fired. */
-    bool used_fallback = false;
-};
 
 /** Timing and value results of one self-attention run. */
 struct RunResult
@@ -94,8 +86,12 @@ struct RunResult
     /** Queries that needed the no-candidate fallback. */
     std::size_t empty_selections = 0;
 
-    /** Per-query records; empty unless collect_query_trace is set. */
-    std::vector<QueryTraceRecord> query_trace;
+    /**
+     * Pipeline interval cycles per query, in query order; empty
+     * unless SimConfig::collect_query_trace is set. Feeds the
+     * `.query.*` stats and the telemetry.json latency histogram.
+     */
+    std::vector<std::size_t> query_intervals;
 
     /**
      * Per-query granted candidate key ids (all banks, grant order

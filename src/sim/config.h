@@ -104,7 +104,8 @@ struct SimConfig
     /** Accelerator clock frequency. */
     double frequency_ghz = 1.0;
 
-    /** Record a per-query QueryTraceRecord in the RunResult. */
+    /** Record each query's pipeline interval and granted key ids
+     *  (RunResult::query_intervals / query_candidates). */
     bool collect_query_trace = false;
 
     /**

@@ -34,23 +34,6 @@ stallCounterName(const std::string& prefix, AttributedModule module,
     return name;
 }
 
-/** Emit {count, min, max, p50, p90, p95, p99} for one digest. */
-void
-writeDigestObject(obs::JsonWriter& w, const obs::QuantileDigest& d)
-{
-    w.beginObject();
-    w.kv("count", d.count());
-    if (d.count() > 0) {
-        w.kv("min", d.min());
-        w.kv("max", d.max());
-        w.kv("p50", d.quantile(0.50));
-        w.kv("p90", d.quantile(0.90));
-        w.kv("p95", d.quantile(0.95));
-        w.kv("p99", d.quantile(0.99));
-    }
-    w.endObject();
-}
-
 } // namespace
 
 std::string
@@ -143,7 +126,7 @@ publishRunStats(const RunResult& result, obs::StatsRegistry& registry,
             .add(static_cast<double>(result.cfloat_saturations));
     }
 
-    if (!result.query_trace.empty()) {
+    if (!result.query_intervals.empty()) {
         obs::Distribution& interval =
             registry.distribution(prefix + ".query.interval_cycles");
         // Candidate fraction lives in [0, 1]; stable edges make the
@@ -153,10 +136,11 @@ publishRunStats(const RunResult& result, obs::StatsRegistry& registry,
             obs::Histogram::linear(0.0, 1.0, 10));
         const double n =
             static_cast<double>(result.candidates_per_query.size());
-        for (const QueryTraceRecord& r : result.query_trace) {
-            interval.add(static_cast<double>(r.interval_cycles));
-            fraction.add(static_cast<double>(r.candidates)
-                         / std::max(1.0, n));
+        for (std::size_t i = 0; i < result.query_intervals.size(); ++i) {
+            interval.add(static_cast<double>(result.query_intervals[i]));
+            fraction.add(
+                static_cast<double>(result.candidates_per_query[i])
+                / std::max(1.0, n));
         }
     }
 
@@ -166,12 +150,11 @@ publishRunStats(const RunResult& result, obs::StatsRegistry& registry,
     if (result.telemetry != nullptr) {
         registry.digest(prefix + ".latency.cycles_digest")
             .add(static_cast<double>(result.totalCycles()));
-        if (!result.query_trace.empty()) {
+        if (!result.query_intervals.empty()) {
             obs::QuantileDigest& interval_digest = registry.digest(
                 prefix + ".query.interval_cycles_digest");
-            for (const QueryTraceRecord& r : result.query_trace) {
-                interval_digest.add(
-                    static_cast<double>(r.interval_cycles));
+            for (const std::size_t interval : result.query_intervals) {
+                interval_digest.add(static_cast<double>(interval));
             }
         }
     }
@@ -216,7 +199,7 @@ writeTelemetryJson(std::ostream& os, const obs::TimeSeries& series,
                    const obs::StatsRegistry& registry,
                    const std::string& prefix,
                    const SimConfig& config,
-                   const std::vector<QueryTraceRecord>* query_trace)
+                   const std::vector<std::size_t>* query_intervals)
 {
     const std::size_t num_bins = series.numBins();
     obs::JsonWriter w(os, /*pretty=*/true);
@@ -291,35 +274,25 @@ writeTelemetryJson(std::ostream& os, const obs::TimeSeries& series,
             || registry.kind(name) != obs::MetricKind::kDigest) {
             continue;
         }
-        const obs::QuantileDigest d = registry.digestValue(name);
         w.key(name).beginObject();
-        w.kv("count", d.count());
-        if (d.count() > 0) {
-            w.kv("min", d.min());
-            w.kv("max", d.max());
-            w.kv("p50", d.quantile(0.50));
-            w.kv("p90", d.quantile(0.90));
-            w.kv("p95", d.quantile(0.95));
-            w.kv("p99", d.quantile(0.99));
-        }
+        obs::writeDigestFields(w, registry.digestValue(name));
         w.endObject();
     }
     w.endObject();
 
-    if (query_trace != nullptr && !query_trace->empty()) {
+    if (query_intervals != nullptr && !query_intervals->empty()) {
         // Raw intervals for the report's latency histogram; capped
         // so the document stays bounded on long runs.
         constexpr std::size_t kMaxIntervals = 8192;
         const std::size_t count =
-            std::min(query_trace->size(), kMaxIntervals);
+            std::min(query_intervals->size(), kMaxIntervals);
         w.key("query_intervals").beginArray();
         for (std::size_t i = 0; i < count; ++i) {
-            w.value(static_cast<double>(
-                (*query_trace)[i].interval_cycles));
+            w.value(static_cast<double>((*query_intervals)[i]));
         }
         w.endArray();
         w.kv("query_intervals_truncated",
-             query_trace->size() > kMaxIntervals);
+             query_intervals->size() > kMaxIntervals);
     }
     w.endObject();
     os << '\n';
@@ -380,19 +353,21 @@ writeSpansJson(std::ostream& os, const obs::QuerySpanSet& spans,
     }
     w.endObject();
 
+    const auto digest = [&w](const char* key,
+                             const obs::QuantileDigest& d) {
+        w.key(key).beginObject();
+        obs::writeDigestFields(w, d);
+        w.endObject();
+    };
     w.key("digests").beginObject();
     for (std::size_t s = 0; s < spans.numStages(); ++s) {
         w.key(spans.stageNames()[s]).beginObject();
-        w.key("queue_wait");
-        writeDigestObject(w, spans.stageQueueWaitDigest(s));
-        w.key("service");
-        writeDigestObject(w, spans.stageServiceDigest(s));
-        w.key("stall");
-        writeDigestObject(w, spans.stageStallDigest(s));
+        digest("queue_wait", spans.stageQueueWaitDigest(s));
+        digest("service", spans.stageServiceDigest(s));
+        digest("stall", spans.stageStallDigest(s));
         w.endObject();
     }
-    w.key("query_total_cycles");
-    writeDigestObject(w, spans.totalDigest());
+    digest("query_total_cycles", spans.totalDigest());
     w.endObject();
 
     // Retained exemplar records: the K slowest plus one per latency
@@ -454,7 +429,7 @@ writeObsBundle(const std::string& dir,
         std::ofstream telemetry_json(dir + "/telemetry.json");
         writeTelemetryJson(telemetry_json, *result.telemetry,
                            registry, prefix, config,
-                           &result.query_trace);
+                           &result.query_intervals);
     }
     if (result.spans != nullptr) {
         std::ofstream spans_json(dir + "/spans.json");
@@ -592,43 +567,6 @@ formatBottleneckReport(const BottleneckReport& report)
             << stallCauseName(report.dominant_idle_cause[m]) << "\n";
     }
     return oss.str();
-}
-
-void
-writeQueryTraceCsv(std::ostream& os,
-                   const std::vector<QueryTraceRecord>& records)
-{
-    os << "query,interval_cycles,max_bank_cycles,candidates,"
-          "stall_cycles,used_fallback\n";
-    for (const auto& r : records) {
-        os << r.query_id << ',' << r.interval_cycles << ','
-           << r.max_bank_cycles << ',' << r.candidates << ','
-           << r.stall_cycles << ',' << (r.used_fallback ? 1 : 0)
-           << '\n';
-    }
-}
-
-QueryTraceSummary
-summarizeQueryTrace(const std::vector<QueryTraceRecord>& records)
-{
-    QueryTraceSummary summary;
-    if (records.empty()) {
-        return summary;
-    }
-    double interval_sum = 0.0;
-    double candidate_sum = 0.0;
-    for (const auto& r : records) {
-        interval_sum += static_cast<double>(r.interval_cycles);
-        candidate_sum += static_cast<double>(r.candidates);
-        summary.max_interval =
-            std::max(summary.max_interval, r.interval_cycles);
-        summary.total_stalls += r.stall_cycles;
-        summary.fallbacks += r.used_fallback ? 1 : 0;
-    }
-    const double count = static_cast<double>(records.size());
-    summary.mean_interval = interval_sum / count;
-    summary.mean_candidates = candidate_sum / count;
-    return summary;
 }
 
 } // namespace elsa

@@ -5,9 +5,9 @@
  * @file
  * Post-run reporting utilities for the cycle-level simulator, built
  * on the observability layer: RunResult -> StatsRegistry publishing,
- * per-module utilization, per-query trace CSV export, and summary
- * statistics (the role a stats dump plays in a full-system
- * simulator).
+ * per-module utilization, the bottleneck report, and the telemetry,
+ * spans and bundle writers (the role a stats dump plays in a
+ * full-system simulator).
  *
  * publishRunStats() is the single RunResult -> metrics mapping; the
  * utilization report and the JSON stats dump both read from it, so
@@ -51,13 +51,14 @@ namespace elsa {
  *   <prefix>.span.<module>.{queue_wait,service,stall}_digest ****
  *   <prefix>.span.query.total_cycles_digest         digest****
  *
- * (* only when the run recorded a per-query trace; ** only when
+ * (* only when the run recorded per-query intervals
+ * (SimConfig::collect_query_trace); ** only when
  * SimConfig::attribute_stalls produced a breakdown -- causes are
  * busy / starved / backpressured / bank_conflict / drained over the
  * six attributed module classes of sim/stall.h, and the cause sum
  * equals lane_cycles exactly; *** only when the run carried
  * telemetry, so telemetry-off dumps stay byte-identical -- the
- * interval digest additionally needs a per-query trace; **** only
+ * interval digest additionally needs per-query intervals; **** only
  * when the run carried spans (SimConfig::query_spans), derived from
  * the per-query span totals/digests over every query of the run.)
  * Counters accumulate across calls so an AcceleratorArray batch
@@ -73,7 +74,7 @@ void publishRunStats(const RunResult& result,
  * channel arrays from `series`, totals and latency digests read
  * back from `registry` under `prefix`, and per-bin energy derived
  * from the `activity.*` channels through the energy model at
- * `config`'s clock. When `query_trace` is non-null its raw
+ * `config`'s clock. When `query_intervals` is non-null the raw
  * per-query intervals are embedded (capped) so report tooling can
  * draw a latency histogram with the digest percentiles overlaid.
  *
@@ -86,8 +87,8 @@ void writeTelemetryJson(std::ostream& os,
                         const obs::StatsRegistry& registry,
                         const std::string& prefix,
                         const SimConfig& config,
-                        const std::vector<QueryTraceRecord>*
-                            query_trace = nullptr);
+                        const std::vector<std::size_t>*
+                            query_intervals = nullptr);
 
 /**
  * The `<prefix>.span.<module>.<field>` metric name of one per-query
@@ -213,29 +214,6 @@ BottleneckReport writeObsBundle(const std::string& dir,
                                 obs::RunManifest& manifest,
                                 const std::string& prefix
                                 = "sim.accel0");
-
-/**
- * Write per-query trace records as CSV
- * (query,interval,bank,candidates,stalls,fallback).
- */
-void writeQueryTraceCsv(std::ostream& os,
-                        const std::vector<QueryTraceRecord>& records);
-
-/**
- * Summary statistics over the per-query records: mean/max interval,
- * mean candidates, total stalls, fallback count.
- */
-struct QueryTraceSummary
-{
-    double mean_interval = 0.0;
-    std::size_t max_interval = 0;
-    double mean_candidates = 0.0;
-    std::size_t total_stalls = 0;
-    std::size_t fallbacks = 0;
-};
-
-QueryTraceSummary
-summarizeQueryTrace(const std::vector<QueryTraceRecord>& records);
 
 } // namespace elsa
 

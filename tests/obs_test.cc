@@ -207,46 +207,6 @@ TEST(ObsHistogramTest, InvalidConstructionIsFatal)
     EXPECT_THROW(Histogram::linear(0.0, 1.0, 0), Error);
 }
 
-TEST(ObsHistogramTest, QuantileMatchesCommonPercentile)
-{
-    // Deterministic samples inside the bucketed range: the
-    // in-bucket linear interpolation must stay within one bucket
-    // width of the exact order-statistic percentile.
-    Histogram h = Histogram::linear(0.0, 100.0, 50);
-    std::vector<double> values;
-    Rng rng(0x4157);
-    for (int i = 0; i < 2000; ++i) {
-        const double v = 100.0 * rng.uniform();
-        values.push_back(v);
-        h.add(v);
-    }
-    const double bucket_width = 100.0 / 50.0;
-    for (const double q : {0.01, 0.25, 0.5, 0.9, 0.95, 0.99}) {
-        EXPECT_NEAR(h.quantile(q), percentile(values, q),
-                    bucket_width)
-            << "q = " << q;
-    }
-    EXPECT_DOUBLE_EQ(h.quantile(0.0), 0.0);
-    EXPECT_DOUBLE_EQ(h.quantile(1.0), 100.0);
-}
-
-TEST(ObsHistogramTest, QuantileEdgeCasesAndErrors)
-{
-    Histogram h = Histogram::linear(0.0, 10.0, 5);
-    EXPECT_THROW(h.quantile(0.5), Error); // Empty histogram.
-    h.add(-5.0); // Underflow mass maps to the bottom edge.
-    h.add(5.0);
-    EXPECT_DOUBLE_EQ(h.quantile(0.0), 0.0);
-    EXPECT_THROW(h.quantile(-0.1), Error);
-    EXPECT_THROW(h.quantile(1.1), Error);
-    double prev = h.quantile(0.0);
-    for (const double q : {0.2, 0.4, 0.6, 0.8, 1.0}) {
-        const double cur = h.quantile(q);
-        EXPECT_GE(cur, prev) << "q = " << q;
-        prev = cur;
-    }
-}
-
 // --- Quantile digest -------------------------------------------------
 
 TEST(ObsDigestTest, SmallCountsAreExact)

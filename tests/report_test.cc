@@ -1,14 +1,13 @@
 /**
  * @file
- * Tests for the simulator reporting utilities: per-query trace
- * collection, utilization computation, CSV export, and summaries.
+ * Tests for the simulator reporting utilities: per-query interval
+ * collection and utilization computation.
  */
 
 #include <gtest/gtest.h>
 
 #include <limits>
 #include <memory>
-#include <sstream>
 
 #include "common/rng.h"
 #include "lsh/calibration.h"
@@ -56,37 +55,38 @@ TEST(ReportTest, TraceDisabledByDefault)
     Accelerator accel(SimConfig::paperConfig(), makeHasher(),
                       kThetaBias64);
     const RunResult result = accel.run(randomInput(32, 1), 0.2);
-    EXPECT_TRUE(result.query_trace.empty());
+    EXPECT_TRUE(result.query_intervals.empty());
+    EXPECT_TRUE(result.query_candidates.empty());
 }
 
-TEST(ReportTest, TraceHasOneRecordPerQuery)
+TEST(ReportTest, TraceHasOneIntervalPerQuery)
 {
     const RunResult result = tracedRun(0.2);
-    ASSERT_EQ(result.query_trace.size(), 96u);
+    ASSERT_EQ(result.query_intervals.size(), 96u);
+    const std::size_t division =
+        divisionCyclesPerQuery(SimConfig::paperConfig());
     std::size_t interval_sum = 0;
-    for (std::size_t i = 0; i < result.query_trace.size(); ++i) {
-        const QueryTraceRecord& r = result.query_trace[i];
-        EXPECT_EQ(r.query_id, i);
-        EXPECT_GE(r.interval_cycles, r.max_bank_cycles);
-        EXPECT_EQ(r.candidates, result.candidates_per_query[i]);
-        interval_sum += r.interval_cycles;
+    for (const std::size_t interval : result.query_intervals) {
+        // The interval also hides the previous query's division.
+        EXPECT_GE(interval, division);
+        interval_sum += interval;
     }
     // Intervals plus the final division drain = execute cycles.
-    EXPECT_EQ(interval_sum + divisionCyclesPerQuery(
-                                 SimConfig::paperConfig()),
-              result.execute_cycles);
+    EXPECT_EQ(interval_sum + division, result.execute_cycles);
+    ASSERT_EQ(result.query_candidates.size(), 96u);
+    for (std::size_t i = 0; i < 96; ++i) {
+        EXPECT_EQ(result.query_candidates[i].size(),
+                  result.candidates_per_query[i]);
+    }
 }
 
-TEST(ReportTest, FallbackFlagMatchesEmptySelections)
+TEST(ReportTest, FallbackSelectsOneCandidatePerQuery)
 {
     const RunResult result = tracedRun(1e9); // Nothing passes.
-    std::size_t fallbacks = 0;
-    for (const auto& r : result.query_trace) {
-        fallbacks += r.used_fallback ? 1 : 0;
-        EXPECT_EQ(r.candidates, 1u);
+    for (const std::size_t candidates : result.candidates_per_query) {
+        EXPECT_EQ(candidates, 1u);
     }
-    EXPECT_EQ(fallbacks, result.empty_selections);
-    EXPECT_EQ(fallbacks, 96u);
+    EXPECT_EQ(result.empty_selections, 96u);
 }
 
 TEST(ReportTest, UtilizationWithinUnitInterval)
@@ -102,43 +102,6 @@ TEST(ReportTest, UtilizationWithinUnitInterval)
     EXPECT_GT(util.get(HwModule::kAttentionCompute), 0.5);
     const std::string text = formatUtilization(util);
     EXPECT_NE(text.find("Attention"), std::string::npos);
-}
-
-TEST(ReportTest, CsvRoundTripShape)
-{
-    const RunResult result = tracedRun(0.2, 16);
-    std::ostringstream oss;
-    writeQueryTraceCsv(oss, result.query_trace);
-    const std::string csv = oss.str();
-    // Header + one line per query.
-    std::size_t lines = 0;
-    for (const char c : csv) {
-        lines += (c == '\n') ? 1 : 0;
-    }
-    EXPECT_EQ(lines, 17u);
-    EXPECT_NE(csv.find("query,interval_cycles"), std::string::npos);
-}
-
-TEST(ReportTest, SummaryStatistics)
-{
-    std::vector<QueryTraceRecord> records = {
-        {0, 10, 8, 4, 0, false},
-        {1, 20, 18, 12, 3, false},
-        {2, 30, 28, 1, 0, true},
-    };
-    const QueryTraceSummary summary = summarizeQueryTrace(records);
-    EXPECT_DOUBLE_EQ(summary.mean_interval, 20.0);
-    EXPECT_EQ(summary.max_interval, 30u);
-    EXPECT_NEAR(summary.mean_candidates, 17.0 / 3.0, 1e-12);
-    EXPECT_EQ(summary.total_stalls, 3u);
-    EXPECT_EQ(summary.fallbacks, 1u);
-}
-
-TEST(ReportTest, EmptySummaryIsZero)
-{
-    const QueryTraceSummary summary = summarizeQueryTrace({});
-    EXPECT_DOUBLE_EQ(summary.mean_interval, 0.0);
-    EXPECT_EQ(summary.fallbacks, 0u);
 }
 
 } // namespace

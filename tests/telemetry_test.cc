@@ -151,6 +151,33 @@ TEST(TelemetryTest, ActivityBinsSumToActivityCounters)
               static_cast<double>(result.candidates_per_query.size()));
 }
 
+TEST(TelemetryTest, EveryStallChannelHasItsStatsCounter)
+{
+    // Fault injection armed at BER 0 never runs, so the fault_retry
+    // cause must be absent from the channels exactly as it is from
+    // the stall counters they conserve against.
+    SimConfig config = telemetryConfig(64);
+    config.fault.enabled = true;
+    config.fault.bit_error_rate = 0.0;
+    Accelerator accel(config, makeHasher(), 0.0);
+    const RunResult result = accel.run(makeInput(32, 0xFA17), 0.0);
+    ASSERT_NE(result.telemetry, nullptr);
+    EXPECT_FALSE(result.fault.enabled);
+
+    obs::StatsRegistry registry;
+    publishRunStats(result, registry, "sim.accel0");
+    std::size_t stall_channels = 0;
+    for (const std::string& name : result.telemetry->channelNames()) {
+        if (name.rfind("stall.", 0) != 0) {
+            continue;
+        }
+        ++stall_channels;
+        EXPECT_TRUE(registry.contains("sim.accel0." + name)) << name;
+    }
+    EXPECT_EQ(stall_channels,
+              kNumAttributedModules * (kNumStallCauses - 1));
+}
+
 // --- Non-perturbation -----------------------------------------------
 
 TEST(TelemetryTest, TelemetryDoesNotChangeSimulatedResults)
@@ -225,7 +252,7 @@ TEST(TelemetryTest, JsonRoundTripsAndConserves)
     publishRunStats(result, registry, "sim.accel0");
     std::ostringstream os;
     writeTelemetryJson(os, *result.telemetry, registry, "sim.accel0",
-                       config, &result.query_trace);
+                       config, &result.query_intervals);
 
     const obs::JsonValue doc = obs::parseJson(os.str());
     EXPECT_EQ(doc.at("schema_version").number_value, 1.0);
@@ -258,7 +285,7 @@ TEST(TelemetryTest, JsonRoundTripsAndConserves)
     EXPECT_TRUE(doc.at("digests").has(
         "sim.accel0.latency.cycles_digest"));
     EXPECT_EQ(doc.at("query_intervals").array_items.size(),
-              result.query_trace.size());
+              result.query_intervals.size());
 }
 
 // --- Batch merge ----------------------------------------------------
