@@ -30,7 +30,9 @@ docs/OBSERVABILITY.md for the schema).  Comparison rules:
     own wide tolerance class -- they move with the machine and with
     scheduling noise, and the gate exists to catch the ~5x+ collapse
     of a broken SIMD kernel or an accidental scalar fallback, not a
-    few percent of jitter;
+    few percent of jitter.  When the two files record different
+    ``build.build_type``s (a Debug or sanitizer build against the
+    Release baseline) they are advisory instead;
   * serving SLO metrics from the ``serve_overload`` entry are
     direction-aware and DO gate with their own tolerance class:
     ``*_goodput_qps`` is higher-is-better (only drops fail) and
@@ -325,6 +327,11 @@ def main():
             f"{current.get('quick')} (not comparable)"
         )
 
+    # A Debug or sanitizer build times its kernels far below a Release
+    # baseline whatever the code does.
+    other_build = (baseline.get("build", {}).get("build_type")
+                   != current.get("build", {}).get("build_type"))
+
     regressions = []
     improvements = []
     advisories = []
@@ -348,9 +355,10 @@ def main():
         cur_metrics = cur_bench["metrics"]
         for metric, base_value in base_metrics.items():
             label = f"{name}.{metric}"
-            advisory = is_wall_time(metric)
+            advisory = is_wall_time(metric) or (
+                other_build and is_kernel_throughput(metric))
             if metric not in cur_metrics:
-                if advisory:
+                if is_wall_time(metric):
                     advisories.append(
                         (label, "wall-time metric missing from current")
                     )
@@ -363,7 +371,7 @@ def main():
                 continue
             compared += 1
             row["compared"] += 1
-            if advisory:
+            if is_wall_time(metric):
                 tol = WALL_TIME_TOLERANCE
             elif is_kernel_throughput(metric):
                 tol = KERNEL_THROUGHPUT_TOLERANCE
@@ -375,8 +383,8 @@ def main():
                 metric, base_value, cur_metrics[metric], tol
             )
             if advisory and status != "ok":
-                # Direction-aware so the report reads right, but a
-                # wall-time move is never a gate failure.
+                # Direction-aware so the report reads right, but an
+                # advisory move is never a gate failure.
                 advisories.append((label, detail))
                 status = "advisory"
                 row["advisory"] += 1
@@ -398,7 +406,9 @@ def main():
     for label, detail in improvements:
         print(f"IMPROVED  {label}: {detail}")
     for label, detail in advisories:
-        print(f"ADVISORY  {label}: {detail} (wall time; never gates)")
+        reason = ("wall time" if is_wall_time(label)
+                  else "kernel timing of another build type")
+        print(f"ADVISORY  {label}: {detail} ({reason}; never gates)")
     for label, detail in regressions:
         print(f"REGRESSED {label}: {detail}")
     if any("latency" in label or "cycles" in label

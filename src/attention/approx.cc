@@ -1,8 +1,6 @@
 #include "attention/approx.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 
 #include "lsh/candidates.h"
 #include "obs/profile.h"
@@ -87,131 +85,50 @@ ApproxAttentionResult
 ApproxSelfAttention::run(const AttentionInput& input,
                          double threshold) const
 {
-    input.validate();
-    const std::size_t n = input.n();
-    const std::size_t d = input.d();
-    const KeyPreprocessing prep = preprocessKeys(input.key);
-
-    ApproxAttentionResult result;
-    result.output = Matrix(n, d);
-    result.stats.candidates_per_query.resize(n);
-
-    const HashMatrix query_hashes = hasher_->hashMatrix(input.query);
-    std::vector<double> scores;
-    for (std::size_t i = 0; i < n; ++i) {
-        const HashView qh = query_hashes[i];
-        std::vector<std::uint32_t> cands =
-            selectCandidates(qh, prep, threshold);
-        if (cands.empty()) {
-            ++result.stats.empty_selections;
-            cands.push_back(argmaxSimilarity(qh, prep.hashes, prep.norms,
-                                             cos_lut_, 0,
-                                             prep.hashes.rows()));
-        }
-        result.stats.candidates_per_query[i] = cands.size();
-
-        // Exact dot products and softmax restricted to candidates.
-        scores.assign(cands.size(), 0.0);
-        const float* q = input.query.row(i);
-        for (std::size_t c = 0; c < cands.size(); ++c) {
-            scores[c] = dot(q, input.key.row(cands[c]), d);
-        }
-        softmaxInPlace(scores);
-        float* out = result.output.row(i);
-        for (std::size_t c = 0; c < cands.size(); ++c) {
-            const double w = scores[c];
-            const float* v = input.value.row(cands[c]);
-            for (std::size_t col = 0; col < d; ++col) {
-                out[col] += static_cast<float>(w * v[col]);
-            }
-        }
-    }
-    return result;
+    return runRows(input, threshold, false);
 }
 
 ApproxAttentionResult
 ApproxSelfAttention::runCausal(const AttentionInput& input,
                                double threshold) const
 {
+    return runRows(input, threshold, true);
+}
+
+ApproxAttentionResult
+ApproxSelfAttention::runRows(const AttentionInput& input,
+                             double threshold, bool causal) const
+{
     input.validate();
     const std::size_t n = input.n();
-    const std::size_t d = input.d();
     const KeyPreprocessing prep = preprocessKeys(input.key);
 
     ApproxAttentionResult result;
-    result.output = Matrix(n, d);
+    result.output = Matrix(n, input.d());
     result.stats.candidates_per_query.resize(n);
 
     const HashMatrix query_hashes = hasher_->hashMatrix(input.query);
-    std::vector<double> scores;
+    std::vector<std::uint32_t> cands;
+    std::vector<double> weights;
     for (std::size_t i = 0; i < n; ++i) {
         const HashView qh = query_hashes[i];
-        // Only keys j <= i are visible: the hardware equivalent
-        // simply stops the candidate scan at key i, so the fused
-        // kernel runs over [0, i+1) directly.
-        std::vector<std::uint32_t> cands;
+        // In causal mode only keys j <= i are visible: the hardware
+        // equivalent simply stops the candidate scan at key i.
+        const std::size_t visible = causal ? i + 1 : n;
+        cands.clear();
         selectAboveCutoff(qh, prep.hashes, prep.norms, cos_lut_,
-                          threshold * prep.max_norm, 0, i + 1, cands);
+                          threshold * prep.max_norm, 0, visible, cands);
         if (cands.empty()) {
             ++result.stats.empty_selections;
-            // Best visible key; key i itself is always visible.
             cands.push_back(argmaxSimilarity(qh, prep.hashes, prep.norms,
-                                             cos_lut_, 0, i + 1));
+                                             cos_lut_, 0, visible));
         }
         result.stats.candidates_per_query[i] = cands.size();
-
-        scores.assign(cands.size(), 0.0);
-        const float* q = input.query.row(i);
-        for (std::size_t c = 0; c < cands.size(); ++c) {
-            scores[c] = dot(q, input.key.row(cands[c]), d);
-        }
-        softmaxInPlace(scores);
-        float* out = result.output.row(i);
-        for (std::size_t c = 0; c < cands.size(); ++c) {
-            const double w = scores[c];
-            const float* v = input.value.row(cands[c]);
-            for (std::size_t col = 0; col < d; ++col) {
-                out[col] += static_cast<float>(w * v[col]);
-            }
-        }
+        attentionRow(input.query.row(i), input.key,
+                     KeyList{cands.size(), cands.data()}, weights,
+                     &input.value, result.output.row(i));
     }
     return result;
-}
-
-Matrix
-ApproxSelfAttention::attentionOverCandidates(
-    const AttentionInput& input,
-    const std::vector<std::vector<std::uint32_t>>& candidates)
-{
-    input.validate();
-    ELSA_CHECK(candidates.size() == input.n(),
-               "candidate list count " << candidates.size()
-                                       << " != n = " << input.n());
-    const std::size_t n = input.n();
-    const std::size_t d = input.d();
-    Matrix output(n, d);
-    std::vector<double> scores;
-    for (std::size_t i = 0; i < n; ++i) {
-        const auto& cands = candidates[i];
-        ELSA_CHECK(!cands.empty(),
-                   "empty candidate list for query " << i);
-        scores.assign(cands.size(), 0.0);
-        const float* q = input.query.row(i);
-        for (std::size_t c = 0; c < cands.size(); ++c) {
-            ELSA_CHECK(cands[c] < n, "candidate index out of range");
-            scores[c] = dot(q, input.key.row(cands[c]), d);
-        }
-        softmaxInPlace(scores);
-        float* out = output.row(i);
-        for (std::size_t c = 0; c < cands.size(); ++c) {
-            const double w = scores[c];
-            const float* v = input.value.row(cands[c]);
-            for (std::size_t col = 0; col < d; ++col) {
-                out[col] += static_cast<float>(w * v[col]);
-            }
-        }
-    }
-    return output;
 }
 
 } // namespace elsa

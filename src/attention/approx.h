@@ -102,10 +102,13 @@ class ApproxSelfAttention
                      double threshold) const;
 
     /**
-     * Full approximate attention. When a query selects no candidate,
-     * the key with the highest approximate similarity is used so the
-     * output row stays well-defined; stats.empty_selections counts
-     * how often this fallback fired.
+     * Full approximate attention: exact attention restricted to each
+     * query's candidates (softmax over the candidates only). When a
+     * query selects no candidate, the key with the highest
+     * approximate similarity is used so the output row stays
+     * well-defined; stats.empty_selections counts how often this
+     * fallback fired. Equals exactAttention, bit for bit, when the
+     * threshold selects everything.
      */
     ApproxAttentionResult run(const AttentionInput& input,
                               double threshold) const;
@@ -120,22 +123,21 @@ class ApproxSelfAttention
     /**
      * Causal (autoregressive) approximate attention: query i only
      * considers keys j <= i, both in candidate selection and in the
-     * fallback. Matches exactAttention with options.causal = true
-     * when the threshold selects everything.
+     * fallback. Equals exactAttention with options.causal = true, bit
+     * for bit, when the threshold selects everything.
      */
     ApproxAttentionResult runCausal(const AttentionInput& input,
                                     double threshold) const;
 
-    /**
-     * Exact attention restricted to the given per-query candidate
-     * lists (softmax over candidates only). Empty candidate lists are
-     * not allowed here; use run() for the fallback behaviour.
-     */
-    static Matrix attentionOverCandidates(
-        const AttentionInput& input,
-        const std::vector<std::vector<std::uint32_t>>& candidates);
-
   private:
+    /**
+     * Shared body of run() and runCausal(): query i selects among keys
+     * [0, causal ? i + 1 : n), then runs attentionRow() over its
+     * candidates.
+     */
+    ApproxAttentionResult runRows(const AttentionInput& input,
+                                  double threshold, bool causal) const;
+
     std::shared_ptr<const SrpHasher> hasher_;
     CosineLut cos_lut_;
 };

@@ -1,7 +1,5 @@
 #include "attention/exact.h"
 
-#include <cmath>
-
 #include "tensor/ops.h"
 
 namespace elsa {
@@ -21,67 +19,48 @@ AttentionInput::validate() const
                "query/key/value matrices are empty");
 }
 
+void
+attentionRow(const float* q, const Matrix& key, KeyList keys,
+             std::vector<double>& weights, const Matrix* value,
+             float* out)
+{
+    const std::size_t d = key.cols();
+    weights.resize(keys.count);
+    for (std::size_t c = 0; c < keys.count; ++c) {
+        weights[c] = dot(q, key.row(keys[c]), d);
+    }
+    softmaxInPlace(weights);
+    if (value == nullptr) {
+        return;
+    }
+    for (std::size_t c = 0; c < keys.count; ++c) {
+        const double w = weights[c];
+        const float* v = value->row(keys[c]);
+        for (std::size_t col = 0; col < d; ++col) {
+            out[col] += static_cast<float>(w * v[col]);
+        }
+    }
+}
+
 Matrix
 exactAttention(const AttentionInput& input,
-               const ExactAttentionOptions& options)
+               const ExactAttentionOptions& options,
+               const AttentionRowVisitor& visit)
 {
     input.validate();
     const std::size_t n = input.n();
-    const std::size_t d = input.d();
-    Matrix output(n, d);
-    std::vector<double> row;
+    Matrix output(n, input.d());
+    std::vector<double> weights;
     for (std::size_t i = 0; i < n; ++i) {
-        const float* q = input.query.row(i);
         // Causal mode restricts query i to keys 0..i.
-        const std::size_t limit = options.causal ? i + 1 : n;
-        row.assign(limit, 0.0);
-        for (std::size_t j = 0; j < limit; ++j) {
-            row[j] = options.score_scale
-                     * dot(q, input.key.row(j), d);
-        }
-        softmaxInPlace(row);
-        float* out = output.row(i);
-        for (std::size_t j = 0; j < limit; ++j) {
-            const double w = row[j];
-            const float* v = input.value.row(j);
-            for (std::size_t c = 0; c < d; ++c) {
-                out[c] += static_cast<float>(w * v[c]);
-            }
+        attentionRow(input.query.row(i), input.key,
+                     KeyList{options.causal ? i + 1 : n}, weights,
+                     &input.value, output.row(i));
+        if (visit) {
+            visit(i, weights);
         }
     }
     return output;
-}
-
-ExactAttentionTrace
-exactAttentionTrace(const AttentionInput& input,
-                    const ExactAttentionOptions& options)
-{
-    input.validate();
-    const std::size_t n = input.n();
-    const std::size_t d = input.d();
-    ExactAttentionTrace trace;
-    trace.output = Matrix(n, d);
-    trace.scores.resize(n);
-    trace.raw_scores.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        const float* q = input.query.row(i);
-        const std::size_t limit = options.causal ? i + 1 : n;
-        auto& raw = trace.raw_scores[i];
-        raw.resize(limit);
-        for (std::size_t j = 0; j < limit; ++j) {
-            raw[j] = options.score_scale * dot(q, input.key.row(j), d);
-        }
-        trace.scores[i] = softmax(raw);
-        float* out = trace.output.row(i);
-        for (std::size_t j = 0; j < limit; ++j) {
-            const double w = trace.scores[i][j];
-            const float* v = input.value.row(j);
-            for (std::size_t c = 0; c < d; ++c) {
-                out[c] += static_cast<float>(w * v[c]);
-            }
-        }
-    }
-    return trace;
 }
 
 std::size_t

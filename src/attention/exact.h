@@ -8,9 +8,16 @@
  * This is the reference implementation every approximation in the
  * repository is measured against, and also the functional model of the
  * "no approximation" (ELSA-base) datapath when given quantized inputs.
+ *
+ * The exact reference, threshold learning and the candidate-restricted
+ * approximation all compute their rows with one kernel,
+ * attentionRow(). The exact reference streams its rows to an optional
+ * visitor rather than keeping the n x n score matrix.
  */
 
 #include <cstddef>
+#include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "tensor/matrix.h"
@@ -34,16 +41,35 @@ struct AttentionInput
     void validate() const;
 };
 
+/**
+ * The keys one attention row runs over, in order: ids[0, count) when
+ * ids is set, else the prefix [0, count).
+ */
+struct KeyList
+{
+    std::size_t count = 0;
+    const std::uint32_t* ids = nullptr;
+
+    std::size_t operator[](std::size_t c) const
+    {
+        return ids != nullptr ? ids[c] : c;
+    }
+};
+
+/**
+ * One attention row of query q over the listed keys (unscaled scores,
+ * as in the paper): weights[c] = softmax_c(q . K[keys[c]]), the
+ * softmax taken over the list only. When value is given it also
+ * accumulates out[col] += float(weights[c] * V[keys[c]][col]) in list
+ * order. The list must not be empty.
+ */
+void attentionRow(const float* q, const Matrix& key, KeyList keys,
+                  std::vector<double>& weights,
+                  const Matrix* value = nullptr, float* out = nullptr);
+
 /** Options of the exact attention computation. */
 struct ExactAttentionOptions
 {
-    /**
-     * Scale applied to the attention scores before softmax. The
-     * paper's description uses unscaled dot products (scaled variants
-     * divide by sqrt(d)); 1.0 reproduces the paper.
-     */
-    double score_scale = 1.0;
-
     /**
      * Causal (autoregressive) masking: query i attends only keys
      * j <= i, as in the GPT-style text-generation workloads the
@@ -52,30 +78,23 @@ struct ExactAttentionOptions
     bool causal = false;
 };
 
-/** Compute O = softmax(scale * Q K^T) V; O is n x d. */
-Matrix exactAttention(const AttentionInput& input,
-                      const ExactAttentionOptions& options = {});
+/**
+ * Receives query i's softmax-normalized attention row: weights[j] is
+ * its attention on key j, with n entries, or i + 1 in causal mode.
+ * The row is only valid during the call.
+ */
+using AttentionRowVisitor =
+    std::function<void(std::size_t query,
+                       const std::vector<double>& weights)>;
 
 /**
- * Exact attention that also returns the softmax-normalized score
- * matrix S' (n x n), used by the threshold learner and the fidelity
- * metrics.
+ * Compute O = softmax(Q K^T) V; O is n x d. When visit is set it sees
+ * every row in query order; the fidelity metrics read the exact
+ * scores this way in O(n) memory.
  */
-struct ExactAttentionTrace
-{
-    Matrix output;
-    /**
-     * scores[i][j] = softmax-normalized attention of query i on key
-     * j. Row i has n entries, or i + 1 in causal mode.
-     */
-    std::vector<std::vector<double>> scores;
-    /** raw_scores[i][j] = Q_i . K_j before softmax. */
-    std::vector<std::vector<double>> raw_scores;
-};
-
-ExactAttentionTrace exactAttentionTrace(const AttentionInput& input,
-                                        const ExactAttentionOptions&
-                                            options = {});
+Matrix exactAttention(const AttentionInput& input,
+                      const ExactAttentionOptions& options = {},
+                      const AttentionRowVisitor& visit = {});
 
 /**
  * Multiply-accumulate count of the exact computation: n^2 d for

@@ -8,18 +8,28 @@ namespace elsa {
 
 namespace {
 
-/** Per-query candidate softmax mass given the exact trace. */
-std::vector<double>
-perQueryMass(const ExactAttentionTrace& trace,
-             const std::vector<std::vector<std::uint32_t>>& candidates)
+/**
+ * Exact attention of input; on the way, mass[i] becomes query i's
+ * candidate softmax mass, read from each exact row while it is live.
+ */
+Matrix
+exactWithCandidateMass(
+    const AttentionInput& input,
+    const std::vector<std::vector<std::uint32_t>>& candidates,
+    std::vector<double>& mass)
 {
-    std::vector<double> mass(candidates.size(), 0.0);
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-        for (const auto j : candidates[i]) {
-            mass[i] += trace.scores[i][j];
-        }
-    }
-    return mass;
+    mass.assign(candidates.size(), 0.0);
+    return exactAttention(
+        input, {},
+        [&](std::size_t i, const std::vector<double>& weights) {
+            for (const auto j : candidates[i]) {
+                ELSA_CHECK(j < weights.size(),
+                           "candidate id " << j << " of query " << i
+                                           << " is out of range (n = "
+                                           << weights.size() << ")");
+                mass[i] += weights[j];
+            }
+        });
 }
 
 } // namespace
@@ -32,8 +42,8 @@ measureFidelity(const AttentionInput& input,
     input.validate();
     ELSA_CHECK(candidates.size() == input.n(),
                "candidate list count mismatch in measureFidelity");
-    const ExactAttentionTrace trace = exactAttentionTrace(input);
-    const std::vector<double> mass = perQueryMass(trace, candidates);
+    std::vector<double> mass;
+    const Matrix exact = exactWithCandidateMass(input, candidates, mass);
 
     FidelityReport report;
     double sum = 0.0;
@@ -46,11 +56,10 @@ measureFidelity(const AttentionInput& input,
                              ? 1.0
                              : sum / static_cast<double>(mass.size());
     report.worst_query_recall = worst;
-    const double exact_norm = frobeniusNorm(trace.output);
+    const double exact_norm = frobeniusNorm(exact);
     report.output_relative_error =
-        exact_norm > 0.0
-            ? frobeniusDiff(trace.output, approx_output) / exact_norm
-            : 0.0;
+        exact_norm > 0.0 ? frobeniusDiff(exact, approx_output) / exact_norm
+                         : 0.0;
     return report;
 }
 
@@ -62,8 +71,8 @@ attentionMassRecall(
     input.validate();
     ELSA_CHECK(candidates.size() == input.n(),
                "candidate list count mismatch in attentionMassRecall");
-    const ExactAttentionTrace trace = exactAttentionTrace(input);
-    const std::vector<double> mass = perQueryMass(trace, candidates);
+    std::vector<double> mass;
+    exactWithCandidateMass(input, candidates, mass);
     double sum = 0.0;
     for (const double m : mass) {
         sum += m;

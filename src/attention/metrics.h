@@ -41,7 +41,11 @@ struct FidelityReport
 
 /**
  * Mean and worst-case softmax-mass recall of the candidate lists with
- * respect to the exact attention scores.
+ * respect to the exact attention scores, plus the output error of
+ * approx_output. The exact rows are read one at a time as
+ * exactAttention() streams them, so memory stays O(n) beyond the
+ * outputs. Throws elsa::Error when a candidate id is not a key of the
+ * input (>= n).
  */
 FidelityReport
 measureFidelity(const AttentionInput& input,
@@ -50,7 +54,8 @@ measureFidelity(const AttentionInput& input,
 
 /**
  * Softmax-mass recall only (no output error), useful when only
- * candidate quality matters.
+ * candidate quality matters. Rejects out-of-range candidate ids as
+ * measureFidelity() does.
  */
 double attentionMassRecall(
     const AttentionInput& input,

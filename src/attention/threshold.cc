@@ -29,25 +29,20 @@ ThresholdLearner::observe(const Matrix& query, const Matrix& key)
     const std::size_t d = key.cols();
 
     double max_key_norm = 0.0;
-    std::vector<double> key_norms(n);
     for (std::size_t j = 0; j < n; ++j) {
-        key_norms[j] = l2Norm(key.row(j), d);
-        max_key_norm = std::max(max_key_norm, key_norms[j]);
+        max_key_norm = std::max(max_key_norm, l2Norm(key.row(j), d));
     }
     ELSA_CHECK(max_key_norm > 0.0, "all-zero key matrix");
 
     const double score_floor = p_ / static_cast<double>(n);
-    std::vector<double> raw(n);
+    std::vector<double> soft;
     for (std::size_t i = 0; i < n; ++i) {
         const float* q = query.row(i);
         const double q_norm = l2Norm(q, d);
         if (q_norm == 0.0) {
             continue; // Padding row; produces no sample.
         }
-        for (std::size_t j = 0; j < n; ++j) {
-            raw[j] = dot(q, key.row(j), d);
-        }
-        const std::vector<double> soft = softmax(raw);
+        attentionRow(q, key, KeyList{n}, soft);
 
         // Step 1: keys whose softmax score exceeds p/n; step 2: among
         // them, the one with the minimum softmax score. When none
@@ -71,7 +66,7 @@ ThresholdLearner::observe(const Matrix& query, const Matrix& key)
             chosen = best_j;
         }
         // Normalize the raw score by ||q|| * ||K_max||.
-        stat_.add(raw[chosen] / (q_norm * max_key_norm));
+        stat_.add(dot(q, key.row(chosen), d) / (q_norm * max_key_norm));
     }
 }
 
@@ -85,39 +80,6 @@ ThresholdLearner::threshold() const
         return -std::numeric_limits<double>::infinity();
     }
     return stat_.mean();
-}
-
-ThresholdTable::ThresholdTable(std::size_t num_layers,
-                               std::size_t num_heads, double p)
-    : num_layers_(num_layers), num_heads_(num_heads), p_(p)
-{
-    ELSA_CHECK(num_layers > 0 && num_heads > 0,
-               "threshold table needs >= 1 layer and head");
-    learners_.assign(num_layers * num_heads, ThresholdLearner(p));
-}
-
-ThresholdLearner&
-ThresholdTable::learner(std::size_t layer, std::size_t head)
-{
-    ELSA_CHECK(layer < num_layers_ && head < num_heads_,
-               "threshold table index (" << layer << "," << head
-                                         << ") out of range");
-    return learners_[layer * num_heads_ + head];
-}
-
-const ThresholdLearner&
-ThresholdTable::learner(std::size_t layer, std::size_t head) const
-{
-    ELSA_CHECK(layer < num_layers_ && head < num_heads_,
-               "threshold table index (" << layer << "," << head
-                                         << ") out of range");
-    return learners_[layer * num_heads_ + head];
-}
-
-double
-ThresholdTable::threshold(std::size_t layer, std::size_t head) const
-{
-    return learner(layer, head).threshold();
 }
 
 } // namespace elsa

@@ -63,33 +63,6 @@ class ThresholdLearner
     RunningStat stat_;
 };
 
-/**
- * Learned thresholds for a whole model: one entry per (sub-)layer,
- * indexed as layer * num_heads + head.
- */
-class ThresholdTable
-{
-  public:
-    ThresholdTable(std::size_t num_layers, std::size_t num_heads,
-                   double p);
-
-    ThresholdLearner& learner(std::size_t layer, std::size_t head);
-    const ThresholdLearner& learner(std::size_t layer,
-                                    std::size_t head) const;
-
-    double threshold(std::size_t layer, std::size_t head) const;
-
-    std::size_t numLayers() const { return num_layers_; }
-    std::size_t numHeads() const { return num_heads_; }
-    double p() const { return p_; }
-
-  private:
-    std::size_t num_layers_;
-    std::size_t num_heads_;
-    double p_;
-    std::vector<ThresholdLearner> learners_;
-};
-
 } // namespace elsa
 
 #endif // ELSA_ATTENTION_THRESHOLD_H_

@@ -30,35 +30,6 @@ matmul(const Matrix& a, const Matrix& b)
 }
 
 Matrix
-matmulTransposedB(const Matrix& a, const Matrix& b)
-{
-    ELSA_CHECK(a.cols() == b.cols(),
-               "matmulTransposedB shape mismatch: " << a.rows() << "x"
-                                                    << a.cols() << " * ("
-                                                    << b.rows() << "x"
-                                                    << b.cols() << ")^T");
-    Matrix c(a.rows(), b.rows());
-    for (std::size_t i = 0; i < a.rows(); ++i) {
-        for (std::size_t j = 0; j < b.rows(); ++j) {
-            c(i, j) = static_cast<float>(dot(a.row(i), b.row(j), a.cols()));
-        }
-    }
-    return c;
-}
-
-Matrix
-transpose(const Matrix& a)
-{
-    Matrix t(a.cols(), a.rows());
-    for (std::size_t i = 0; i < a.rows(); ++i) {
-        for (std::size_t j = 0; j < a.cols(); ++j) {
-            t(j, i) = a(i, j);
-        }
-    }
-    return t;
-}
-
-Matrix
 kronecker(const Matrix& a, const Matrix& b)
 {
     Matrix k(a.rows() * b.rows(), a.cols() * b.cols());
@@ -114,29 +85,6 @@ softmaxInPlace(std::vector<double>& row)
     for (auto& v : row) {
         v /= sum;
     }
-}
-
-std::vector<double>
-softmax(const std::vector<double>& row)
-{
-    std::vector<double> out = row;
-    softmaxInPlace(out);
-    return out;
-}
-
-Matrix
-reshapeToMatrix(const std::vector<float>& x, std::size_t r, std::size_t c)
-{
-    ELSA_CHECK(x.size() == r * c,
-               "reshape size mismatch: " << x.size() << " != " << r << "x"
-                                         << c);
-    return Matrix(r, c, x);
-}
-
-std::vector<float>
-flatten(const Matrix& m)
-{
-    return std::vector<float>(m.data(), m.data() + m.size());
 }
 
 double

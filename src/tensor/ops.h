@@ -20,12 +20,6 @@ namespace elsa {
 /** C = A * B. Shapes must agree (A.cols == B.rows). */
 Matrix matmul(const Matrix& a, const Matrix& b);
 
-/** C = A * B^T. Shapes must agree (A.cols == B.cols). */
-Matrix matmulTransposedB(const Matrix& a, const Matrix& b);
-
-/** Transpose of A. */
-Matrix transpose(const Matrix& a);
-
 /** Kronecker product A (x) B; see Section III-C of the paper. */
 Matrix kronecker(const Matrix& a, const Matrix& b);
 
@@ -44,19 +38,6 @@ std::vector<double> l2NormRows(const Matrix& m);
 
 /** In-place softmax over a row vector. Numerically stabilized. */
 void softmaxInPlace(std::vector<double>& row);
-
-/** Softmax of the given values. */
-std::vector<double> softmax(const std::vector<double>& row);
-
-/**
- * Reshape a flat vector of length r*c into an r x c matrix,
- * filling rows first (the "x.reshape(r, c)" of Section III-C).
- */
-Matrix reshapeToMatrix(const std::vector<float>& x, std::size_t r,
-                       std::size_t c);
-
-/** Flatten a matrix into a row-major vector. */
-std::vector<float> flatten(const Matrix& m);
 
 /** Max absolute elementwise difference between two same-shaped matrices. */
 double maxAbsDiff(const Matrix& a, const Matrix& b);

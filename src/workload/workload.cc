@@ -146,24 +146,6 @@ WorkloadRunner::evaluate(double p,
     return eval;
 }
 
-double
-WorkloadRunner::choosePForMode(ApproxMode mode,
-                               const WorkloadEvalOptions& options) const
-{
-    if (mode == ApproxMode::kBase) {
-        return 0.0;
-    }
-    const double bound = accuracyLossBound(spec_.model, mode);
-    double best = 0.0;
-    for (const double p : standardPGrid()) {
-        const WorkloadEvaluation eval = evaluate(p, options);
-        if (eval.estimated_loss_pct <= bound) {
-            best = std::max(best, p);
-        }
-    }
-    return best;
-}
-
 std::vector<SimInvocation>
 WorkloadRunner::simInvocations(double p, std::size_t num_inputs,
                                std::size_t max_sublayers,

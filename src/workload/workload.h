@@ -10,7 +10,8 @@
  *    given approximation hyperparameter p;
  *  - evaluate candidate fractions, attention-mass recall, and the
  *    accuracy-loss proxy on an evaluation set;
- *  - pick p per mode (conservative / moderate / aggressive) as the
+ *  - provide the standard p grid from which ElsaSystem::chooseP
+ *    picks p per mode (conservative / moderate / aggressive) as the
  *    largest p whose estimated loss stays within the mode's bound.
  *
  * A full BERT-large pass has 24 x 16 = 384 (sub-)layers; evaluating
@@ -107,14 +108,6 @@ class WorkloadRunner
         const;
 
     /**
-     * Choose p for an operating mode: the largest value from the
-     * standard grid {0.5, 1, 2, 3, 4, 6, 8} whose estimated accuracy
-     * loss stays within the mode's bound. Base mode returns 0.
-     */
-    double choosePForMode(ApproxMode mode,
-                          const WorkloadEvalOptions& options = {}) const;
-
-    /**
      * Materialize invocations (inputs + learned thresholds) for the
      * cycle-level simulator.
      *
@@ -133,7 +126,8 @@ class WorkloadRunner
     /** Sequence length of training input input_id (deterministic). */
     std::size_t trainLength(std::uint64_t input_id) const;
 
-    /** The standard p grid used by choosePForMode and Fig. 10. */
+    /** The standard p grid {0.5, 1, 2, 3, 4, 6, 8} that
+     *  ElsaSystem::chooseP scans per mode. */
     static const std::vector<double>& standardPGrid();
 
   private:

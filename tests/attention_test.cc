@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <string>
 
 #include "attention/approx.h"
 #include "attention/exact.h"
@@ -98,38 +99,24 @@ TEST(ExactAttentionTest, DominantKeySelectsItsValue)
     }
 }
 
-TEST(ExactAttentionTest, TraceScoresAreSoftmaxOfRawScores)
+TEST(ExactAttentionTest, VisitedRowsAreSoftmaxOfRawScores)
 {
+    // The visitor sees every row once, in query order, and each row
+    // is bit for bit softmaxInPlace of the raw dot products.
     const AttentionInput input = randomInput(12, 8, 3);
-    const ExactAttentionTrace trace = exactAttentionTrace(input);
-    for (std::size_t i = 0; i < 12; ++i) {
-        double sum = 0.0;
-        for (std::size_t j = 0; j < 12; ++j) {
-            sum += trace.scores[i][j];
-            const double raw =
-                dot(input.query.row(i), input.key.row(j), 8);
-            EXPECT_NEAR(trace.raw_scores[i][j], raw, 1e-6);
-        }
-        EXPECT_NEAR(sum, 1.0, 1e-9);
-    }
-}
-
-TEST(ExactAttentionTest, TraceOutputMatchesPlainOutput)
-{
-    const AttentionInput input = randomInput(20, 16, 4);
-    EXPECT_LT(maxAbsDiff(exactAttention(input),
-                         exactAttentionTrace(input).output),
-              1e-6);
-}
-
-TEST(ExactAttentionTest, ScaledScoresChangeDistribution)
-{
-    const AttentionInput input = randomInput(16, 8, 5);
-    ExactAttentionOptions scaled;
-    scaled.score_scale = 1.0 / std::sqrt(8.0);
-    const Matrix a = exactAttention(input);
-    const Matrix b = exactAttention(input, scaled);
-    EXPECT_GT(maxAbsDiff(a, b), 1e-4);
+    std::size_t next = 0;
+    exactAttention(input, {},
+                   [&](std::size_t i, const std::vector<double>& row) {
+                       EXPECT_EQ(i, next++);
+                       std::vector<double> expected(12);
+                       for (std::size_t j = 0; j < 12; ++j) {
+                           expected[j] = dot(input.query.row(i),
+                                             input.key.row(j), 8);
+                       }
+                       softmaxInPlace(expected);
+                       EXPECT_EQ(row, expected) << "query " << i;
+                   });
+    EXPECT_EQ(next, 12u);
 }
 
 TEST(ExactAttentionTest, MacCountFormula)
@@ -162,9 +149,9 @@ TEST(ApproxAttentionTest, MinusInfinityThresholdSelectsEverything)
         EXPECT_EQ(c, 24u);
     }
     EXPECT_EQ(result.stats.empty_selections, 0u);
-    // Selecting everything reproduces the exact attention.
-    EXPECT_LT(frobeniusDiff(result.output, exactAttention(input)),
-              1e-3);
+    // Selecting everything reproduces the exact attention bit for
+    // bit: the candidate list runs the same row kernel as the prefix.
+    EXPECT_TRUE(result.output == exactAttention(input));
 }
 
 TEST(ApproxAttentionTest, HugeThresholdTriggersFallback)
@@ -215,24 +202,6 @@ TEST(ApproxAttentionTest, SelectionMatchesManualFormula)
         }
     }
     EXPECT_EQ(selected, expected);
-}
-
-TEST(ApproxAttentionTest, OutputMatchesAttentionOverCandidates)
-{
-    const AttentionInput input = randomInput(32, 64, 11);
-    ApproxSelfAttention engine(makeHasher(), kThetaBias64);
-    const double threshold = 0.1;
-    const auto cands = engine.candidatesForAll(input, threshold);
-    bool any_empty = false;
-    for (const auto& c : cands) {
-        any_empty |= c.empty();
-    }
-    if (!any_empty) {
-        const Matrix via_lists =
-            ApproxSelfAttention::attentionOverCandidates(input, cands);
-        const auto direct = engine.run(input, threshold);
-        EXPECT_LT(maxAbsDiff(via_lists, direct.output), 1e-6);
-    }
 }
 
 TEST(ApproxAttentionTest, StatsFractionAndTotal)
@@ -337,19 +306,6 @@ TEST(ThresholdLearnerTest, SkipsZeroNormPaddingQueries)
     EXPECT_EQ(learner.sampleCount(), 6u);
 }
 
-TEST(ThresholdTableTest, IndexingAndBounds)
-{
-    ThresholdTable table(3, 4, 1.0);
-    EXPECT_EQ(table.numLayers(), 3u);
-    EXPECT_EQ(table.numHeads(), 4u);
-    EXPECT_THROW(table.learner(3, 0), Error);
-    EXPECT_THROW(table.learner(0, 4), Error);
-    const AttentionInput input = randomInput(16, 64, 15);
-    table.learner(1, 2).observe(input.query, input.key);
-    EXPECT_GT(table.learner(1, 2).sampleCount(), 0u);
-    EXPECT_EQ(table.learner(1, 3).sampleCount(), 0u);
-}
-
 TEST(MetricsTest, FullCandidatesGivePerfectFidelity)
 {
     const AttentionInput input = randomInput(16, 64, 16);
@@ -369,22 +325,19 @@ TEST(MetricsTest, FullCandidatesGivePerfectFidelity)
 TEST(MetricsTest, RecallDropsWhenDroppingTopKey)
 {
     const AttentionInput input = randomInput(16, 64, 17);
-    const ExactAttentionTrace trace = exactAttentionTrace(input);
     // Candidates = everything except each query's top key.
     std::vector<std::vector<std::uint32_t>> cands(16);
-    for (std::size_t i = 0; i < 16; ++i) {
-        std::size_t top = 0;
-        for (std::size_t j = 1; j < 16; ++j) {
-            if (trace.scores[i][j] > trace.scores[i][top]) {
-                top = j;
-            }
-        }
-        for (std::uint32_t j = 0; j < 16; ++j) {
-            if (j != top) {
-                cands[i].push_back(j);
-            }
-        }
-    }
+    exactAttention(input, {},
+                   [&](std::size_t i, const std::vector<double>& row) {
+                       const auto top = static_cast<std::uint32_t>(
+                           std::max_element(row.begin(), row.end())
+                           - row.begin());
+                       for (std::uint32_t j = 0; j < 16; ++j) {
+                           if (j != top) {
+                               cands[i].push_back(j);
+                           }
+                       }
+                   });
     const double recall = attentionMassRecall(input, cands);
     EXPECT_LT(recall, 1.0);
     EXPECT_GT(recall, 0.0);
@@ -393,16 +346,40 @@ TEST(MetricsTest, RecallDropsWhenDroppingTopKey)
 TEST(MetricsTest, RecallMatchesHandComputedMass)
 {
     const AttentionInput input = randomInput(8, 64, 18);
-    const ExactAttentionTrace trace = exactAttentionTrace(input);
     // Candidates = keys {0, 1} for every query.
     std::vector<std::vector<std::uint32_t>> cands(
         8, std::vector<std::uint32_t>{0, 1});
     double expected = 0.0;
-    for (std::size_t i = 0; i < 8; ++i) {
-        expected += trace.scores[i][0] + trace.scores[i][1];
-    }
+    exactAttention(input, {},
+                   [&](std::size_t, const std::vector<double>& row) {
+                       expected += row[0] + row[1];
+                   });
     expected /= 8.0;
     EXPECT_NEAR(attentionMassRecall(input, cands), expected, 1e-9);
+}
+
+TEST(MetricsTest, OutOfRangeCandidateThrows)
+{
+    // A caller-supplied id of n names no key; both metrics reject it
+    // rather than read past the exact row.
+    const AttentionInput input = randomInput(8, 64, 19);
+    std::vector<std::vector<std::uint32_t>> cands(
+        8, std::vector<std::uint32_t>{0});
+    cands[5] = {1, 8};
+    const Matrix exact = exactAttention(input);
+    const auto expect_rejected = [](const auto& call) {
+        try {
+            call();
+            ADD_FAILURE() << "out-of-range candidate id was accepted";
+        } catch (const Error& e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "candidate id 8 of query 5"),
+                      std::string::npos)
+                << e.what();
+        }
+    };
+    expect_rejected([&] { measureFidelity(input, cands, exact); });
+    expect_rejected([&] { attentionMassRecall(input, cands); });
 }
 
 } // namespace

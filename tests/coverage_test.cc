@@ -1,8 +1,8 @@
 /**
  * @file
  * Coverage tests for smaller API surfaces not exercised elsewhere:
- * mode-selection on the runner, window-edge cases, layer-construction
- * errors, GPU-model argument validation, and facade odds and ends.
+ * window-edge cases, layer-construction errors, GPU-model argument
+ * validation, and facade odds and ends.
  */
 
 #include <gtest/gtest.h>
@@ -20,24 +20,6 @@
 
 namespace elsa {
 namespace {
-
-TEST(RunnerModeSelectionTest, ChoosesLargerPForLooserBounds)
-{
-    WorkloadRunner runner({bert4Rec(), movieLens1M()});
-    WorkloadEvalOptions options;
-    options.max_sublayers = 2;
-    options.num_eval_inputs = 2;
-    options.num_train_inputs = 2;
-    const double base = runner.choosePForMode(ApproxMode::kBase,
-                                              options);
-    const double cons =
-        runner.choosePForMode(ApproxMode::kConservative, options);
-    const double agg =
-        runner.choosePForMode(ApproxMode::kAggressive, options);
-    EXPECT_DOUBLE_EQ(base, 0.0);
-    EXPECT_GE(agg, cons);
-    EXPECT_GT(agg, 0.0);
-}
 
 TEST(BlockedWindowEdgeTest, ExactMultipleProducesEqualWindows)
 {

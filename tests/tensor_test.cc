@@ -109,26 +109,6 @@ TEST(OpsTest, MatmulShapeMismatchThrows)
     EXPECT_THROW(matmul(Matrix(2, 3), Matrix(2, 3)), Error);
 }
 
-TEST(OpsTest, MatmulTransposedBMatchesExplicitTranspose)
-{
-    Rng rng(3);
-    Matrix a(5, 7);
-    Matrix b(6, 7);
-    a.fillGaussian(rng);
-    b.fillGaussian(rng);
-    const Matrix direct = matmulTransposedB(a, b);
-    const Matrix via_transpose = matmul(a, transpose(b));
-    EXPECT_LT(maxAbsDiff(direct, via_transpose), 1e-4);
-}
-
-TEST(OpsTest, TransposeInvolution)
-{
-    Rng rng(9);
-    Matrix a(3, 5);
-    a.fillGaussian(rng);
-    EXPECT_TRUE(transpose(transpose(a)) == a);
-}
-
 TEST(OpsTest, KroneckerShapeAndValues)
 {
     const Matrix a = makeMatrix(2, 2, {1, 2, 3, 4});
@@ -205,20 +185,6 @@ TEST(OpsTest, SoftmaxOfEmptyThrows)
 {
     std::vector<double> row;
     EXPECT_THROW(softmaxInPlace(row), Error);
-}
-
-TEST(OpsTest, ReshapeRoundTrip)
-{
-    const std::vector<float> x = {1, 2, 3, 4, 5, 6};
-    const Matrix m = reshapeToMatrix(x, 2, 3);
-    EXPECT_EQ(m.at(0, 0), 1.0f);
-    EXPECT_EQ(m.at(1, 0), 4.0f);
-    EXPECT_EQ(flatten(m), x);
-}
-
-TEST(OpsTest, ReshapeSizeMismatchThrows)
-{
-    EXPECT_THROW(reshapeToMatrix({1.0f, 2.0f}, 2, 3), Error);
 }
 
 TEST(OpsTest, FrobeniusDiffOfEqualIsZero)

@@ -124,17 +124,17 @@ TEST(GeneratorTest, SoftmaxConcentratesOnFewKeys)
     QkvGenerator gen(bertLarge(), 11);
     const std::size_t n = 256;
     const AttentionInput input = gen.generate(11, 3, n, 0);
-    const ExactAttentionTrace trace = exactAttentionTrace(input);
     RunningStat top16_mass;
-    for (std::size_t i = 0; i < n; ++i) {
-        std::vector<double> sorted = trace.scores[i];
-        std::sort(sorted.rbegin(), sorted.rend());
-        double top = 0.0;
-        for (std::size_t j = 0; j < 16; ++j) {
-            top += sorted[j];
-        }
-        top16_mass.add(top);
-    }
+    exactAttention(input, {},
+                   [&](std::size_t, const std::vector<double>& row) {
+                       std::vector<double> sorted = row;
+                       std::sort(sorted.rbegin(), sorted.rend());
+                       double top = 0.0;
+                       for (std::size_t j = 0; j < 16; ++j) {
+                           top += sorted[j];
+                       }
+                       top16_mass.add(top);
+                   });
     // Top 16 of 256 keys (6%) should hold well over half the mass.
     EXPECT_GT(top16_mass.mean(), 0.6);
     // ... but not be a strict one-hot.
